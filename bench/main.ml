@@ -27,6 +27,11 @@ module Makespan = Eva_schedule.Makespan
 module Parallel = Eva_schedule.Parallel
 module Apps = Eva_apps.Apps
 
+(* Set from the command line when `--smoke` is passed: tiny sizes, one
+   iteration, so CI catches experiments that crash or disagree without
+   paying for a real measurement run. *)
+let smoke = ref false
+
 let header title =
   Printf.printf "\n================================================================\n%s\n================================================================\n" title
 
@@ -411,7 +416,10 @@ let figure9 () =
      saturates there, while the model assumes ideal hardware.\n\n"
     (Domain.recommended_domain_count ());
   let coeffs = Cost.calibrate ~log_n:10 () in
-  let workers = [ 1; 2; 4; 8 ] in
+  (* Smoke: mini-LeNet at 1 and 2 workers only. Every run must decrypt
+     bit-identically to the 1-worker run — the schedule is the only
+     thing the worker count may change. *)
+  let workers = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   List.iter
     (fun net ->
       let { lowered; compiled; _ } = compiled_net net `Eva in
@@ -427,7 +435,7 @@ let figure9 () =
       Printf.printf "%s (%d nodes):\n" net.N.net_name (Ir.node_count compiled.Compile.program);
       Printf.printf "  %-7s | %11s %8s | %11s %8s | %s\n" "workers" "measured(s)" "speedup" "modeled(s)"
         "speedup" "peak live";
-      let base_measured = ref 0.0 and base_modeled = ref 0.0 in
+      let base_measured = ref 0.0 and base_modeled = ref 0.0 and base_outputs = ref [] in
       List.iter
         (fun w ->
           let r = Parallel.execute_on ~cost ~workers:w engine compiled in
@@ -435,13 +443,16 @@ let figure9 () =
           let modeled = (Makespan.simulate compiled.Compile.program ~cost ~workers:w).Makespan.makespan in
           if w = 1 then begin
             base_measured := measured;
-            base_modeled := modeled
-          end;
+            base_modeled := modeled;
+            base_outputs := r.Parallel.outputs
+          end
+          else if r.Parallel.outputs <> !base_outputs then
+            failwith (Printf.sprintf "figure9: %s at %d workers differs from 1 worker" net.N.net_name w);
           Printf.printf "  %-7d | %11.3f %7.2fx | %11.3f %7.2fx | %d\n" w measured
             (!base_measured /. measured) modeled (!base_modeled /. modeled) r.Parallel.peak_live_values)
         workers;
       hline ())
-    Nets.minis;
+    (if !smoke then [ Nets.mini_lenet ] else Nets.minis);
   Printf.printf
     "Shape target: measured speedup follows the modeled curve up to the\n\
      machine's core count and flattens beyond it; peak live values grow\n\
@@ -563,11 +574,6 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* Kernel microbenchmarks: the RNS hot path itself                     *)
 (* ------------------------------------------------------------------ *)
-
-(* Set by the driver when `--smoke` is passed: tiny degree, one
-   iteration per kernel, so CI catches kernels that crash or mis-reduce
-   without paying for a real measurement run. *)
-let smoke = ref false
 
 (* Set by `--max-batch N`: the serve experiment's cross-request slot
    batching width (1 = unbatched, the historical configuration). *)

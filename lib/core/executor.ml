@@ -158,10 +158,20 @@ let parallel_map ~workers f items =
     Array.to_list (Array.map Option.get out)
   end
 
-(* Encode + encrypt the bound inputs. Each Cipher input draws a private
+(* Encode + encrypt the bound inputs. [lanes_of name] gives one
+   already-tiled lane vector per batch member (a single lane when
+   unbatched): cipher inputs encode all lanes in one strided plaintext,
+   plain inputs carry the interleaved vector. One lane is bit-identical
+   to a plain encode — [encode_strided] of one lane is [encode], and
+   [interleave] of one lane is a copy. Each Cipher input draws a private
    RNG from [rng] up front (sequentially, so results are independent of
-   [workers]), then the per-input work runs on [workers] domains. *)
-let encrypt_inputs ctx keyset rng ~vs ~top_level ~workers ~binding all_nodes =
+   [workers]), then the per-input work runs on [workers] domains
+   (default: the recommended domain count). Returns the inputs and the
+   seconds spent. *)
+let encrypt_inputs ?workers ctx keyset rng ~lanes_of all_nodes =
+  let workers = Option.value workers ~default:(Domain.recommended_domain_count ()) in
+  let top_level = Ctx.chain_length ctx in
+  let t0 = now () in
   let jobs =
     List.filter_map
       (fun n ->
@@ -173,44 +183,20 @@ let encrypt_inputs ctx keyset rng ~vs ~top_level ~workers ~binding all_nodes =
         | _ -> None)
       (List.rev all_nodes)
   in
-  parallel_map ~workers
-    (fun (n, name, child) ->
-      let v = plain_of_binding vs (binding name) in
-      match child with
-      | Some child_rng ->
-          let pt = Eval.encode ctx ~level:top_level ~scale:(Float.ldexp 1.0 n.Ir.decl_scale) v in
-          (n.Ir.id, Ct (Eval.encrypt ctx keyset child_rng pt))
-      | None -> (n.Ir.id, Plain v))
-    jobs
-
-(* The batched sibling of [encrypt_inputs]: [lanes_of name] gives one
-   already-tiled lane vector per batch member; cipher inputs encode all
-   lanes in one strided plaintext, plain inputs carry the interleaved
-   vector. Per-input RNG draws happen in the same order as the unbatched
-   path, so a 1-lane batch is bit-identical to [encrypt_inputs]. *)
-let encrypt_inputs_strided ctx keyset rng ~top_level ~workers ~lanes_of all_nodes =
-  let jobs =
-    List.filter_map
-      (fun n ->
-        match n.Ir.op with
-        | Ir.Input (Ir.Cipher, name) ->
-            let child = Random.State.make [| Random.State.bits rng; Random.State.bits rng |] in
-            Some (n, name, Some child)
-        | Ir.Input (_, name) -> Some (n, name, None)
-        | _ -> None)
-      (List.rev all_nodes)
+  let inputs =
+    parallel_map ~workers
+      (fun (n, name, child) ->
+        let lanes = lanes_of name in
+        match child with
+        | Some child_rng ->
+            let pt =
+              Eval.encode_strided ctx ~level:top_level ~scale:(Float.ldexp 1.0 n.Ir.decl_scale) lanes
+            in
+            (n.Ir.id, Ct (Eval.encrypt ctx keyset child_rng pt))
+        | None -> (n.Ir.id, Plain (interleave lanes)))
+      jobs
   in
-  parallel_map ~workers
-    (fun (n, name, child) ->
-      let lanes = lanes_of name in
-      match child with
-      | Some child_rng ->
-          let pt =
-            Eval.encode_strided ctx ~level:top_level ~scale:(Float.ldexp 1.0 n.Ir.decl_scale) lanes
-          in
-          (n.Ir.id, Ct (Eval.encrypt ctx keyset child_rng pt))
-      | None -> (n.Ir.id, Plain (interleave lanes)))
-    jobs
+  (inputs, now () -. t0)
 
 let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(extra_rotations = [])
     compiled bindings =
@@ -249,14 +235,11 @@ let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(ext
   in
   let secret, keyset = Keys.generate ctx rng ~galois_elts in
   let context_seconds = now () -. t0 in
-  let top_level = Ctx.chain_length ctx in
   let binding = binding_fn p bindings in
-  let encrypt_workers = Option.value encrypt_workers ~default:(Domain.recommended_domain_count ()) in
-  let t1 = now () in
-  let inputs =
-    encrypt_inputs ctx keyset rng ~vs ~top_level ~workers:encrypt_workers ~binding p.Ir.all_nodes
+  let lanes_of name = [| plain_of_binding vs (binding name) |] in
+  let inputs, encrypt_seconds =
+    encrypt_inputs ?workers:encrypt_workers ctx keyset rng ~lanes_of p.Ir.all_nodes
   in
-  let encrypt_seconds = now () -. t1 in
   {
     ctx;
     secret;
@@ -270,7 +253,6 @@ let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(ext
     encrypt_seconds;
   }
 
-let input_values e = e.inputs
 let engine_context_seconds e = e.context_seconds
 let engine_encrypt_seconds e = e.encrypt_seconds
 let engine_degree e = Ctx.degree e.ctx
@@ -279,33 +261,21 @@ let rebind ?seed ?(reset_cache = true) ?encrypt_workers e compiled bindings =
   let bindings = shim compiled bindings in
   let p = compiled.Compile.program in
   let vs = p.Ir.vec_size in
-  let top_level = Ctx.chain_length e.ctx in
   let binding = binding_fn p bindings in
-  let workers = Option.value encrypt_workers ~default:(Domain.recommended_domain_count ()) in
   (* With [seed] the fresh inputs are a pure function of (seed, bindings):
      the engine's own RNG is not consulted, so concurrent rebinds from a
      serving loop produce ciphertexts independent of interleaving. *)
   let rng = match seed with Some s -> Random.State.make [| s |] | None -> e.rng in
-  let t0 = now () in
-  let inputs = encrypt_inputs e.ctx e.keyset rng ~vs ~top_level ~workers ~binding p.Ir.all_nodes in
+  let lanes_of name = [| plain_of_binding vs (binding name) |] in
+  let inputs, encrypt_seconds =
+    encrypt_inputs ?workers:encrypt_workers e.ctx e.keyset rng ~lanes_of p.Ir.all_nodes
+  in
   {
     e with
     inputs;
-    encrypt_seconds = now () -. t0;
+    encrypt_seconds;
     pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
   }
-
-(* Re-aim an engine at a batched (or differently batched) variant of the
-   program it was prepared for: same context, keys and plaintext cache,
-   new width and scale table. Inputs are cleared — callers follow with
-   [rebind_batched]. *)
-let retarget e compiled =
-  let p = compiled.Compile.program in
-  let vs = p.Ir.vec_size in
-  if Ctx.slots e.ctx < vs then
-    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
-      "Executor.retarget: %d slots cannot hold vector size %d" (Ctx.slots e.ctx) vs;
-  { e with vec_size = vs; node_scales = Analysis.scales p; inputs = [] }
 
 let rebind_batched ?(reset_cache = false) ?encrypt_workers ~seeds e compiled members =
   let members = Array.map (shim compiled) members in
@@ -320,7 +290,12 @@ let rebind_batched ?(reset_cache = false) ?encrypt_workers ~seeds e compiled mem
   if Array.length seeds <> live then
     Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
       "Executor.rebind_batched: %d seeds for %d members" (Array.length seeds) live;
-  let e = retarget e compiled in
+  (* Re-aim the engine at this variant: same context, keys and
+     plaintext cache, new width and scale table. *)
+  if Ctx.slots e.ctx < vs then
+    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
+      "Executor.rebind_batched: %d slots cannot hold vector size %d" (Ctx.slots e.ctx) vs;
+  let e = { e with vec_size = vs; node_scales = Analysis.scales p } in
   (* Validate every member's bindings up front (each report names its
      member), so one bad request cannot poison batch preparation. *)
   let binding_fns = Array.map (fun bs -> binding_fn p bs) members in
@@ -330,15 +305,14 @@ let rebind_batched ?(reset_cache = false) ?encrypt_workers ~seeds e compiled mem
         if b < live then plain_of_binding lane_size (binding_fns.(b) name)
         else Lazy.force dead_lane)
   in
-  let rng = Random.State.make seeds in
-  let top_level = Ctx.chain_length e.ctx in
-  let workers = Option.value encrypt_workers ~default:(Domain.recommended_domain_count ()) in
-  let t0 = now () in
-  let inputs = encrypt_inputs_strided e.ctx e.keyset rng ~top_level ~workers ~lanes_of p.Ir.all_nodes in
+  let inputs, encrypt_seconds =
+    encrypt_inputs ?workers:encrypt_workers e.ctx e.keyset (Random.State.make seeds) ~lanes_of
+      p.Ir.all_nodes
+  in
   {
     e with
     inputs;
-    encrypt_seconds = now () -. t0;
+    encrypt_seconds;
     pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
   }
 
@@ -551,118 +525,221 @@ type run_stats = {
   op_counts : op_counts;
 }
 
-(* The one sequential evaluation loop: both [run_on] and [execute] are
-   thin wrappers so the timed and untimed paths cannot drift.
-   Remaining-use counts drive buffer release (memory reuse): a value is
-   dropped as soon as its last consumer has run, and the high-water mark
-   of simultaneously stored values is recorded.
+exception Worker_died
 
-   With [hoist] (the default) RotateMany groups evaluate as a unit the
-   first time any member is reached: the whole group's outputs are
-   computed via the shared decomposition and parked; each later member
-   consumes its parked value. An [interpose] retry of a member before
-   its value is consumed re-computes the entire group from the (still
-   live) source — bit-exact, since grouped evaluation is.
+(* The one graph scheduler, for every worker count: [run_on], [execute],
+   [Parallel.execute_on] and the serving tier are all thin wrappers, so
+   no two execution paths can drift. [workers] domains (the caller's
+   included; one worker spawns nothing) claim ready nodes from a shared
+   list ordered by [priority], highest first — by default topological
+   position, which at one worker reproduces program order (a hoist
+   group runs at its leader's position). A node is
+   ready once all its parameters are computed; each node writes only its
+   own slot, so workers never conflict (Section 6.1). Remaining-use
+   counts drive buffer release: a value is dropped as soon as its last
+   consumer has run, and the high-water mark of simultaneously stored
+   values is recorded.
 
-   [cancel] is the cooperative-cancellation checkpoint, riding the same
-   per-node seam as [interpose]: the token is checked before every node
-   evaluation, so a request whose deadline passes (or whose daemon is
-   draining) stops within one node as a structured EVA-E505, and its
-   live intermediate ciphertexts are dropped with this frame instead of
-   being carried to graph completion. *)
-let run_graph ?(record_per_node = false) ?interpose ?(cancel = Cancel.never) ?(hoist = true) e
-    compiled =
+   With [hoist] (the default) each RotateMany hoist group is one unit of
+   work: only its leader (lowest-id member) is claimable, and claiming
+   it publishes every member's value under its own id. The shared
+   decomposition is computed once, on first demand; each member then
+   passes through [interpose] on its own, so a transient failure retried
+   in place re-reads the member's value from it.
+
+   Failure policy: an evaluation error is anchored to its node
+   ([node_failure]) and ends the run. [Worker_died] from [interpose] is
+   a worker death: the claimed node (or whole group) is requeued — safe,
+   because parent values release only on completion, so whoever picks
+   it up re-reads identical inputs — and the worker exits for good. With
+   no worker left and work outstanding the run ends in EVA-E504 rather
+   than deadlocking (every state change broadcasts, so no waiter is
+   stranded).
+
+   [cancel] is the cooperative-cancellation checkpoint: the token is
+   checked before every node evaluation, so a request whose deadline
+   passes (or whose daemon is draining) stops within one node as a
+   structured EVA-E505, and its live intermediates are dropped with
+   this frame instead of being carried to graph completion. *)
+let run_graph ?(record_per_node = false) ?(interpose = fun _ eval -> eval ()) ?(cancel = Cancel.never)
+    ?(hoist = true) ?(workers = 1) ?priority e compiled =
+  if workers < 1 then invalid_arg "Executor.run_graph: workers >= 1";
   let p = compiled.Compile.program in
   let t0 = now () in
-  let group_of : (int, Optimize.hoist_group) Hashtbl.t = Hashtbl.create 8 in
+  let order = Ir.topological p in
+  let priority =
+    match priority with
+    | Some f -> f
+    | None ->
+        let pos = Hashtbl.create 64 in
+        List.iteri (fun i n -> Hashtbl.replace pos n.Ir.id i) order;
+        fun n -> -.float_of_int (Hashtbl.find pos n.Ir.id)
+  in
+  let group_of_leader : (int, Optimize.hoist_group) Hashtbl.t = Hashtbl.create 8 in
+  let satellite : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   if hoist then
     List.iter
-      (fun g -> List.iter (fun m -> Hashtbl.replace group_of m.Ir.id g) g.Optimize.hoist_rotations)
+      (fun g ->
+        match g.Optimize.hoist_rotations with
+        | leader :: rest ->
+            Hashtbl.replace group_of_leader leader.Ir.id g;
+            List.iter (fun m -> Hashtbl.replace satellite m.Ir.id ()) rest
+        | [] -> ())
       (Optimize.rotation_groups p);
-  let parked : (int, value) Hashtbl.t = Hashtbl.create 8 in
+  let lock = Mutex.create () and wake = Condition.create () in
+  let ready = Fheap.create () in
+  let push n = if not (Hashtbl.mem satellite n.Ir.id) then Fheap.push ready (-.priority n) n in
   let values : (int, value) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun (id, v) -> Hashtbl.replace values id v) e.inputs;
-  let remaining = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace remaining n.Ir.id (List.length n.Ir.uses)) p.Ir.all_nodes;
-  let release parent =
-    let r = Hashtbl.find remaining parent.Ir.id - 1 in
-    Hashtbl.replace remaining parent.Ir.id r;
-    if r = 0 then
-      match parent.Ir.op with Ir.Output _ -> () | _ -> Hashtbl.remove values parent.Ir.id
-  in
-  let outputs = ref [] in
-  let per_node = ref [] in
-  let peak = ref (Hashtbl.length values) in
-  let ops = ref zero_op_counts in
+  let remaining = Hashtbl.create 64 and pending = Hashtbl.create 64 in
+  let outstanding = ref 0 in
   List.iter
     (fun n ->
+      Hashtbl.replace remaining n.Ir.id (List.length n.Ir.uses);
       match n.Ir.op with
       | Ir.Input _ -> ()
       | _ ->
-          Cancel.check ~node_id:n.Ir.id ~op:(Ir.op_name n.Ir.op) cancel;
-          let tn = if record_per_node then now () else 0.0 in
-          let parents = Array.to_list (Array.map (fun m -> Hashtbl.find values m.Ir.id) n.Ir.parms) in
-          let eval () =
-            match Hashtbl.find_opt group_of n.Ir.id with
-            | None -> eval_node e n parents
-            | Some g -> (
-                match Hashtbl.find_opt parked n.Ir.id with
-                | Some v ->
-                    Hashtbl.remove parked n.Ir.id;
-                    v
-                | None ->
-                    let mine = ref None in
-                    List.iter
-                      (fun (m, v) ->
-                        if m.Ir.id = n.Ir.id then mine := Some v
-                        else Hashtbl.replace parked m.Ir.id v)
-                      (eval_rotation_group e g (List.hd parents));
-                    Option.get !mine)
+          incr outstanding;
+          let waiting =
+            Array.fold_left
+              (fun k m -> match m.Ir.op with Ir.Input _ -> k | _ -> k + 1)
+              0 n.Ir.parms
           in
-          let v = match interpose with None -> eval () | Some f -> f n eval in
-          (match v with Ct _ -> ops := count_ct_op n.Ir.op !ops | Plain _ -> ());
-          (match n.Ir.op with Ir.Output name -> outputs := (name, v) :: !outputs | _ -> ());
-          Hashtbl.replace values n.Ir.id v;
-          if Hashtbl.length values > !peak then peak := Hashtbl.length values;
-          Array.iter release n.Ir.parms;
-          if record_per_node then per_node := (n.Ir.id, n.Ir.op, now () -. tn) :: !per_node)
-    (Ir.topological p);
+          Hashtbl.replace pending n.Ir.id waiting;
+          if waiting = 0 then push n)
+    order;
+  let peak = ref (Hashtbl.length values) and ops = ref zero_op_counts and per_node = ref [] in
+  let live_workers = ref workers and failure = ref None in
+  (* Evaluate a claimed unit off the lock, member by member. *)
+  let evaluate n parents =
+    let one m eval =
+      Cancel.check ~node_id:m.Ir.id ~op:(Ir.op_name m.Ir.op) cancel;
+      let tm = if record_per_node then now () else 0.0 in
+      let v =
+        try interpose m eval with Worker_died -> raise Worker_died | ex -> raise (node_failure m ex)
+      in
+      (m, v, if record_per_node then now () -. tm else 0.0)
+    in
+    match Hashtbl.find_opt group_of_leader n.Ir.id with
+    | None -> [ one n (fun () -> eval_node e n parents) ]
+    | Some g ->
+        let group = lazy (eval_rotation_group e g (List.hd parents)) in
+        List.map (fun m -> one m (fun () -> List.assq m (Lazy.force group))) g.Optimize.hoist_rotations
+  in
+  (* Under the lock: store the unit's values, then release parents whose
+     last consumer just ran and unblock children. *)
+  let publish results =
+    List.iter
+      (fun (m, v, dt) ->
+        Hashtbl.replace values m.Ir.id v;
+        decr outstanding;
+        (match v with Ct _ -> ops := count_ct_op m.Ir.op !ops | Plain _ -> ());
+        if record_per_node then per_node := (m.Ir.id, m.Ir.op, dt) :: !per_node)
+      results;
+    peak := max !peak (Hashtbl.length values);
+    List.iter
+      (fun (m, _, _) ->
+        Array.iter
+          (fun parent ->
+            let r = Hashtbl.find remaining parent.Ir.id - 1 in
+            Hashtbl.replace remaining parent.Ir.id r;
+            match parent.Ir.op with
+            | Ir.Output _ -> ()
+            | _ -> if r = 0 then Hashtbl.remove values parent.Ir.id)
+          m.Ir.parms;
+        List.iter
+          (fun c ->
+            let d = Hashtbl.find pending c.Ir.id - 1 in
+            Hashtbl.replace pending c.Ir.id d;
+            if d = 0 then push c)
+          m.Ir.uses)
+      results
+  in
+  let rec worker () =
+    Mutex.lock lock;
+    let rec claim () =
+      if !failure <> None || !outstanding = 0 then None
+      else if Fheap.is_empty ready then begin
+        Condition.wait wake lock;
+        claim ()
+      end
+      else Some (snd (Fheap.pop ready))
+    in
+    match claim () with
+    | None ->
+        Condition.broadcast wake;
+        Mutex.unlock lock
+    | Some n ->
+        let parents = Array.to_list (Array.map (fun m -> Hashtbl.find values m.Ir.id) n.Ir.parms) in
+        Mutex.unlock lock;
+        let outcome = try Ok (evaluate n parents) with ex -> Error ex in
+        Mutex.lock lock;
+        let alive =
+          match outcome with
+          | Ok results ->
+              publish results;
+              true
+          | Error Worker_died ->
+              push n;
+              decr live_workers;
+              if !live_workers = 0 && !failure = None then
+                failure :=
+                  Some
+                    (Diag.Error
+                       (Diag.make ~node_id:n.Ir.id ~op:(Ir.op_name n.Ir.op) ~layer:Diag.Execute
+                          ~code:Diag.exec_workers_died
+                          (Printf.sprintf "all %d workers died with %d instructions outstanding"
+                             workers !outstanding)));
+              false
+          | Error ex ->
+              if !failure = None then failure := Some ex;
+              true
+        in
+        Condition.broadcast wake;
+        Mutex.unlock lock;
+        if alive then worker ()
+  in
+  let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join domains;
+  Option.iter raise !failure;
   {
-    raw_outputs = List.rev !outputs;
+    raw_outputs =
+      List.filter_map
+        (fun n ->
+          match n.Ir.op with Ir.Output name -> Some (name, Hashtbl.find values n.Ir.id) | _ -> None)
+        order;
     elapsed_seconds = now () -. t0;
     node_seconds = List.rev !per_node;
     peak_live_values = !peak;
     op_counts = !ops;
   }
 
+let decode e s =
+  let t1 = now () in
+  let outputs = List.map (fun (name, v) -> (name, read_output e v)) s.raw_outputs in
+  let decrypt_seconds = now () -. t1 in
+  let pt_cache_hits, pt_cache_misses = pt_cache_counters e in
+  ( outputs,
+    {
+      context_seconds = e.context_seconds;
+      encrypt_seconds = e.encrypt_seconds;
+      execute_seconds = s.elapsed_seconds;
+      decrypt_seconds;
+      per_node = s.node_seconds;
+      pt_cache_hits;
+      pt_cache_misses;
+      op_counts = s.op_counts;
+    } )
+
 let run_on e compiled =
   let s = run_graph e compiled in
-  (List.map (fun (name, v) -> (name, read_output e v)) s.raw_outputs, s.elapsed_seconds)
+  (fst (decode e s), s.elapsed_seconds)
 
 let execute ?seed ?ignore_security ?log_n ?encrypt_workers compiled bindings =
   let e = prepare ?seed ?ignore_security ?log_n ?encrypt_workers compiled bindings in
-  let s = run_graph ~record_per_node:true e compiled in
-  let t1 = now () in
-  let decrypted =
-    Compile.unpack_outputs compiled
-      (List.map (fun (name, v) -> (name, read_output e v)) s.raw_outputs)
-  in
-  let decrypt_seconds = now () -. t1 in
-  let pt_cache_hits, pt_cache_misses = pt_cache_counters e in
-  {
-    outputs = decrypted;
-    timings =
-      {
-        context_seconds = e.context_seconds;
-        encrypt_seconds = e.encrypt_seconds;
-        execute_seconds = s.elapsed_seconds;
-        decrypt_seconds;
-        per_node = s.node_seconds;
-        pt_cache_hits;
-        pt_cache_misses;
-        op_counts = s.op_counts;
-      };
-  }
+  let outputs, timings = decode e (run_graph ~record_per_node:true e compiled) in
+  { outputs = Compile.unpack_outputs compiled outputs; timings }
 
 let max_abs_error a b =
   List.fold_left

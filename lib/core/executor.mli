@@ -24,12 +24,6 @@ type op_counts = {
   rotations : int;
 }
 
-val zero_op_counts : op_counts
-
-(** [count_ct_op op c] bumps the counter [op] belongs to (identity for
-    non-counted ops). Shared with the parallel executor. *)
-val count_ct_op : Ir.op -> op_counts -> op_counts
-
 type timings = {
   context_seconds : float;  (** context + key generation *)
   encrypt_seconds : float;
@@ -66,9 +60,6 @@ val prepare :
   ?seed:int -> ?ignore_security:bool -> ?log_n:int -> ?encrypt_workers:int ->
   ?extra_rotations:int list -> Compile.compiled -> (string * Reference.binding) list -> engine
 
-(** Initial values for input nodes (id-indexed). *)
-val input_values : engine -> (int * value) list
-
 (** [rebind e c bindings] re-encrypts fresh inputs reusing the engine's
     context and keys (amortizes key generation across many runs). With
     [seed] the encryption randomness is drawn from a fresh
@@ -99,12 +90,6 @@ val interleave : float array array -> float array
 
 val extract_lane : lanes:int -> lane:int -> float array -> float array
 
-(** [retarget e c] re-aims an engine at a (typically batched) variant of
-    the program it was prepared for: same context, keys and warm
-    plaintext cache, new vector width and scale table, inputs cleared.
-    EVA-E508 if the context's slots cannot hold the variant's width. *)
-val retarget : engine -> Compile.compiled -> engine
-
 (** [rebind_batched ~seeds e c members] is {!rebind} for a batched
     program [c]: member [b]'s bindings fill lane [b] (vectors tiled or
     zero-padded to the lane width per {!Reference.tile}, scalars
@@ -113,7 +98,9 @@ val retarget : engine -> Compile.compiled -> engine
     ({!Eva_ckks.Eval.encode_strided}). [seeds] gives one seed per member
     (the batch RNG is [Random.State.make seeds]); a 1-lane batch is
     bit-identical to [rebind ~seed]. [reset_cache] defaults to [false]
-    (serving keeps the cache warm). Implies {!retarget}. Each member's
+    (serving keeps the cache warm). The derived engine is re-aimed at [c]
+    (its vector width and scale table; EVA-E508 if the context's slots
+    cannot hold it) while keeping the context, keys and cache. Each member's
     bindings pass through the vectorization shim ({!prepare})
     independently; each member's missing inputs raise EVA-E501 before
     any encryption work. *)
@@ -139,44 +126,51 @@ type run_stats = {
   op_counts : op_counts;
 }
 
-(** [run_graph e c] evaluates the graph single-threaded on a prepared
-    engine. Both {!run_on} and {!execute} are wrappers over this loop.
+(** Raised by an [interpose] hook to report that the worker evaluating
+    the node died ({!run_graph}). *)
+exception Worker_died
+
+(** [run_graph e c] evaluates the graph on a prepared engine: the one
+    node scheduler behind {!run_on}, {!execute}, [Parallel.execute_on]
+    and the serving tier. [workers] (default 1) domains claim ready
+    nodes from a shared list, highest [priority] first (default:
+    topological position, i.e. program order); one worker runs on the
+    calling domain and spawns nothing. Outputs are bit-identical at
+    every worker count and priority — only the schedule differs.
+
     [interpose n eval] (when given) is called instead of [eval] for
     every non-input node and must return the node's value — the seam
     fault-injection harnesses use to kill, delay, fail or corrupt
-    individual node evaluations without the executor knowing. [cancel]
-    (default {!Cancel.never}) is checked before every node on the same
-    seam: a cancelled token stops the run within one node as EVA-E505,
+    individual node evaluations without the executor knowing. Raising
+    {!Worker_died} from it is a worker death: the claimed node (or hoist
+    group) is requeued onto a surviving worker and the dying worker
+    exits; with none left the run raises EVA-E504. Any other failure is
+    anchored to its node (classified errors keep their code, foreign
+    exceptions become EVA-E507) and ends the run. [cancel] (default
+    {!Cancel.never}) is checked before every node on the same seam: a
+    cancelled token stops the run within one node as EVA-E505,
     releasing the request's live intermediates. [hoist] (default true)
-    evaluates {!Optimize.rotation_groups} as units — decompose once,
-    rotate many — bit-identical to ungrouped evaluation; disable it to
-    measure the naive path. *)
+    evaluates {!Optimize.rotation_groups} as units on one worker —
+    decompose once, rotate many — bit-identical to ungrouped
+    evaluation; disable it to measure the naive path. *)
 val run_graph :
   ?record_per_node:bool -> ?interpose:(Ir.node -> (unit -> value) -> value) ->
-  ?cancel:Cancel.token -> ?hoist:bool -> engine -> Compile.compiled -> run_stats
+  ?cancel:Cancel.token -> ?hoist:bool -> ?workers:int -> ?priority:(Ir.node -> float) -> engine ->
+  Compile.compiled -> run_stats
 
-(** Run a compiled program on a prepared engine (single-threaded),
+(** [decode e s] decrypts (or passes through) the raw outputs of run
+    [s] — full-width slot vectors, as {!run_on} returns them — and
+    assembles the run's {!timings}: the engine's set-up times, [s]'s
+    evaluation time, per-node times and op counts, the decrypt time and
+    the engine's plaintext-cache counters. *)
+val decode : engine -> run_stats -> (string * float array) list * timings
+
+(** Run a compiled program on a prepared engine (one worker),
     returning decrypted outputs and the execute wall time. Outputs are
     raw full-width slot vectors — a vectorized or batched program's
     packed outputs are NOT scattered here; apply
     {!Compile.unpack_outputs} (and {!extract_lane}) as needed. *)
 val run_on : engine -> Compile.compiled -> (string * float array) list * float
-
-(** [eval_node e n parents] computes one instruction from its parameter
-    values. Thread-safe once all keys are pregenerated (they are, by
-    {!prepare}); the plaintext-encoding cache is internally locked. *)
-val eval_node : engine -> Ir.node -> value list -> value
-
-(** [eval_rotation_group e g src] evaluates a RotateMany hoist group as
-    one unit from its shared source value: the source is digit-
-    decomposed once and every member's Galois key applied to the cached
-    decomposition. Returns each member paired with its value, in member
-    order — bit-identical to calling {!eval_node} per member. A plain
-    source falls back to per-member evaluation. Not thread-safe per
-    group (the shared decomposition carries scratch); distinct calls
-    are independent. *)
-val eval_rotation_group :
-  engine -> Optimize.hoist_group -> value -> (Ir.node * value) list
 
 val engine_context_seconds : engine -> float
 val engine_encrypt_seconds : engine -> float
@@ -199,12 +193,6 @@ val pt_cache_capacity : int
     cache (the path every plaintext operand takes during evaluation).
     Exposed for cache-behaviour tests; thread-safe. *)
 val encode_cached : engine -> float array -> level:int -> scale:float -> Eva_ckks.Eval.plaintext
-
-(** [node_failure n e] anchors an exception raised while evaluating [n]
-    to that node: an already-classified error keeps its code and gains
-    the node id and opcode; a foreign exception is wrapped as an
-    Execute-layer EVA-E507. Always returns [Eva_diag.Diag.Error _]. *)
-val node_failure : Ir.node -> exn -> exn
 
 (** Decrypt (or pass through) an output value. *)
 val read_output : engine -> value -> float array

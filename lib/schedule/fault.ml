@@ -63,11 +63,10 @@ let counters t = t.counters
 
 (* Advance the jitter schedule under the plan's lock, sleep outside it:
    a pausing retrier must never hold up other workers drawing actions. *)
-let retry_pause ?limit_ms t =
+let retry_pause t =
   Mutex.lock t.lock;
   let d = Backoff.next_ms t.backoff in
   Mutex.unlock t.lock;
-  let d = match limit_ms with Some l -> Float.min d (Float.max 0.0 l) | None -> d in
   if d > 0.0 then Unix.sleepf (d /. 1000.0)
 
 let record t = function
@@ -141,20 +140,18 @@ let interpose t n eval =
         Unix.sleepf dt;
         eval ()
     | Corrupt kind -> corrupt_value kind (eval ())
-    | Die | Fail -> (
-        (* Idempotent node evaluation: a failed attempt left no state, so
-           re-running is exact. Sequential death degenerates to retry. *)
-        match note_retry t ~node_id:n.Ir.id with
-        | `Retry ->
-            retry_pause t;
-            attempt ()
-        | `Exhausted -> retry_error t n ~code:Diag.exec_retry_exhausted "transient failure")
-    | Timeout dt -> (
+    | Die -> raise Executor.Worker_died
+    | Fail -> retry ~code:Diag.exec_retry_exhausted "transient failure"
+    | Timeout dt ->
         Unix.sleepf dt;
-        match note_retry t ~node_id:n.Ir.id with
-        | `Retry ->
-            retry_pause t;
-            attempt ()
-        | `Exhausted -> retry_error t n ~code:Diag.exec_timeout "timeout")
+        retry ~code:Diag.exec_timeout "timeout"
+  (* Idempotent node evaluation: a failed attempt left no state, so
+     re-running in place on the same worker is exact. *)
+  and retry ~code what =
+    match note_retry t ~node_id:n.Ir.id with
+    | `Retry ->
+        retry_pause t;
+        attempt ()
+    | `Exhausted -> retry_error t n ~code what
   in
   attempt ()

@@ -6,10 +6,9 @@
     from a test. This module is the seam: a fault plan decides, per node
     and per attempt, whether the evaluation proceeds, the worker dies,
     the attempt fails transiently, the node is delayed or times out, or
-    the produced ciphertext is tampered with. {!Parallel.execute} and
-    {!Eva_core.Executor.run_graph} (through {!interpose}) consult the
-    plan at every node; with no plan supplied the hook is absent and
-    costs nothing.
+    the produced ciphertext is tampered with. The executor consults the
+    plan at every node through {!interpose} ({!Parallel.execute} plugs
+    it in); with no plan supplied the hook is absent and costs nothing.
 
     Under any plan the contract is: the executor completes bit-exact
     after retries, or raises a structured [Eva_diag.Diag.Error] — it
@@ -22,14 +21,17 @@ type kind =
 
 type action =
   | Proceed  (** evaluate normally *)
-  | Die  (** the worker domain executing this node dies mid-node *)
+  | Die
+      (** the worker evaluating this node dies mid-node: the node moves to
+          a surviving worker, EVA-E504 when none is left (always, at one
+          worker) *)
   | Fail  (** one transient evaluation failure (retryable) *)
   | Delay of float  (** sleep this many seconds, then evaluate normally *)
   | Timeout of float  (** sleep, then count the attempt as timed out (retryable) *)
   | Corrupt of kind  (** evaluate, then tamper the result *)
 
 (** Everything the plan injected, for assertions. [retries] counts
-    re-executions granted after [Fail]/[Timeout]/sequential [Die]. *)
+    re-executions granted after [Fail]/[Timeout]. *)
 type counters = {
   mutable deaths : int;
   mutable failures : int;
@@ -64,33 +66,20 @@ val none : unit -> t
 val max_retries : t -> int
 val counters : t -> counters
 
-(** Draw the next action for an attempt at [node_id]. Thread-safe;
-    counters are updated at draw time. *)
-val next_action : t -> node_id:int -> action
-
-(** [note_retry t ~node_id] records one more re-execution of the node;
-    [`Exhausted] once the per-node budget is spent. Thread-safe. *)
-val note_retry : t -> node_id:int -> [ `Retry | `Exhausted ]
-
-(** Sleep the plan's next decorrelated-jitter backoff interval (bounded
-    by [limit_ms] when given). Called after every [`Retry] verdict by
-    both executors so granted retries pace out instead of hammering;
-    the schedule state advances under the plan's lock, the sleep
-    happens outside it. *)
-val retry_pause : ?limit_ms:float -> t -> unit
-
-(** Tamper a value per [kind]. Plain values pass through unchanged —
-    only ciphertexts carry level/scale metadata to corrupt. *)
-val corrupt_value : kind -> Eva_core.Executor.value -> Eva_core.Executor.value
-
 (** Transient-failure exception raised inside an injected [Fail]
     attempt (internal to the executors' retry loops; it never escapes —
     exhaustion surfaces as EVA-E506). *)
 exception Injected of int
 
-(** Adapter for the sequential executor:
-    [Executor.run_graph ~interpose:(Fault.interpose plan)]. [Fail] and
-    [Timeout] retry in place up to the budget (then EVA-E506/E505);
-    [Die] behaves like [Fail] — a sequential run has no other worker to
-    requeue onto, so death-and-pickup degenerates to retry. *)
+(** The fault plan as an executor hook:
+    [Executor.run_graph ~interpose:(Fault.interpose plan)] (what
+    {!Parallel.execute_on} passes). One policy at every worker count:
+    [Fail] and [Timeout] retry in place, on the worker that drew them,
+    up to the per-node budget (then EVA-E506/E505), each retry paced by
+    the plan's decorrelated-jitter backoff. [Die] is worker death: it
+    raises [Executor.Worker_died], so the executor requeues the claimed
+    node (or hoist group) onto a surviving worker — and with one worker
+    there is none, so the run ends in EVA-E504. Hoist-group members are
+    interposed one at a time against the group value computed once, so
+    each member's retry budget covers only its own hazard. *)
 val interpose : t -> Eva_core.Ir.node -> (unit -> Eva_core.Executor.value) -> Eva_core.Executor.value

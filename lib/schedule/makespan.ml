@@ -2,71 +2,12 @@ module Ir = Eva_core.Ir
 
 type stats = { makespan : float; work : float; critical_path : float; busy_fraction : float }
 
-(* Minimal binary min-heap on float keys. *)
-module Fheap = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
+module Fheap = Eva_core.Fheap
 
-  let create () = { data = [||]; size = 0 }
-
-  let push h key v =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (max 16 (2 * h.size)) (key, v) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(parent) in
-      h.data.(parent) <- h.data.(!i);
-      h.data.(!i) <- tmp;
-      i := parent
-    done
-
-  let pop h =
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-      if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.data.(!smallest) in
-        h.data.(!smallest) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-
-  let is_empty h = h.size = 0
-end
-
-(* Bottom level (critical-path-to-exit) of every node in [p]: the node's
-   own cost plus the longest cost path through its consumers. Used both
-   for the modeled schedule and as the real parallel executor's ready
-   priority, so measured and modeled orders agree. *)
-let bottom_levels p ~cost =
-  let bottom = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let below =
-        List.fold_left (fun acc c -> Float.max acc (Hashtbl.find bottom c.Ir.id)) 0.0 n.Ir.uses
-      in
-      Hashtbl.replace bottom n.Ir.id (cost n +. below))
-    (Ir.reverse_topological p);
-  bottom
-
-(* Greedy list scheduling of [nodes] (must be closed under in-group
-   dependencies described by [parents_in]) with priority = bottom level. *)
-let schedule_nodes nodes ~cost ~workers ~parents_in ~children_in =
+(* Bottom level (critical-path-to-exit) of every node in the
+   topologically ordered [nodes]: the node's own cost plus the longest
+   cost path through its consumers. *)
+let bottoms nodes ~cost ~children_in =
   let bottom = Hashtbl.create 64 in
   List.iter
     (fun n ->
@@ -75,6 +16,16 @@ let schedule_nodes nodes ~cost ~workers ~parents_in ~children_in =
       in
       Hashtbl.replace bottom n.Ir.id (cost n +. below))
     (List.rev nodes);
+  bottom
+
+(* Used both for the modeled schedule and as the real executor's ready
+   priority, so measured and modeled orders agree. *)
+let bottom_levels p ~cost = bottoms (Ir.topological p) ~cost ~children_in:(fun n -> n.Ir.uses)
+
+(* Greedy list scheduling of [nodes] (must be closed under in-group
+   dependencies described by [parents_in]) with priority = bottom level. *)
+let schedule_nodes nodes ~cost ~workers ~parents_in ~children_in =
+  let bottom = bottoms nodes ~cost ~children_in in
   let indeg = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace indeg n.Ir.id (List.length (parents_in n))) nodes;
   (* Ready queue keyed by negated bottom level: longest path first. *)
@@ -200,10 +151,4 @@ let simulate_bulk_synchronous p ~cost ~workers ~group =
       total_work := !total_work +. w;
       total_cp := !total_cp +. cp)
     group_ids;
-  {
-    makespan = !total_makespan;
-    work = !total_work;
-    critical_path = !total_cp;
-    busy_fraction =
-      (if !total_makespan > 0.0 then !total_work /. (!total_makespan *. float_of_int workers) else 1.0);
-  }
+  stats_of ~workers (!total_makespan, !total_work, !total_cp)

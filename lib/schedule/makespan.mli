@@ -10,20 +10,6 @@
     Standard bounds hold and are checked by property tests:
     [max critical_path (work / workers) <= makespan <= work]. *)
 
-(** Binary min-heap on float keys, shared by the makespan model and the
-    real parallel executor's priority ready list. *)
-module Fheap : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> float -> 'a -> unit
-
-  (** Smallest key first; undefined on an empty heap. *)
-  val pop : 'a t -> float * 'a
-
-  val is_empty : 'a t -> bool
-end
-
 (** [bottom_levels p ~cost] maps each node id to its bottom level: the
     node's cost plus the costliest path to an exit through its
     consumers. Scheduling ready nodes by descending bottom level is the

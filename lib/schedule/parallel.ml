@@ -1,7 +1,5 @@
 module Ir = Eva_core.Ir
 module Executor = Eva_core.Executor
-module Fheap = Makespan.Fheap
-module Diag = Eva_diag.Diag
 
 type result = {
   outputs : (string * float array) list;
@@ -9,25 +7,11 @@ type result = {
   peak_live_values : int;
 }
 
-type shared = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  ready : Ir.node Fheap.t;
-  values : (int, Executor.value) Hashtbl.t;
-  pending_parents : (int, int) Hashtbl.t;
-  remaining_uses : (int, int) Hashtbl.t;
-  mutable peak_live : int;
-  mutable per_node : (int * Ir.op * float) list;
-  mutable op_counts : Executor.op_counts;
-  mutable outstanding : int;  (** instructions not yet finished *)
-  mutable live_workers : int;
-  mutable failure : exn option;
-}
-
-let execute_on ?cost ?fault ?(cancel = Eva_core.Cancel.never) ?(hoist = true) ~workers engine
-    compiled =
+(* The ready list is ordered by bottom level (critical path first), the
+   same priority the makespan model schedules by; the fault plan rides
+   the core's [interpose] seam. *)
+let execute_on ?cost ?fault ?cancel ?(hoist = true) ~workers engine compiled =
   if workers < 1 then invalid_arg "Parallel.execute_on: workers >= 1";
-  let p = compiled.Eva_core.Compile.program in
   let cost =
     match cost with
     | Some c -> c
@@ -35,304 +19,22 @@ let execute_on ?cost ?fault ?(cancel = Eva_core.Cancel.never) ?(hoist = true) ~w
         let costs = Cost.program_costs ~hoist Cost.default_coefficients compiled in
         fun n -> Option.value (Hashtbl.find_opt costs n.Ir.id) ~default:0.0
   in
-  (* RotateMany hoist groups run as one unit on one worker: only the
-     leader (lowest-id member) enters the ready heap; claiming it
-     evaluates the whole group via the shared decomposition and
-     publishes every member's value under its own id. Satellites are
-     never separately claimable, so a worker dying mid-group requeues
-     just the leader and the surviving workers re-execute the group
-     bit-exactly (parent values release only on completion). *)
-  let groups = if hoist then Eva_core.Optimize.rotation_groups p else [] in
-  let group_of_leader : (int, Eva_core.Optimize.hoist_group) Hashtbl.t = Hashtbl.create 8 in
-  let satellite : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun g ->
-      match g.Eva_core.Optimize.hoist_rotations with
-      | leader :: rest ->
-          Hashtbl.replace group_of_leader leader.Ir.id g;
-          List.iter (fun m -> Hashtbl.replace satellite m.Ir.id ()) rest
-      | [] -> ())
-    groups;
-  (* Ready list is a max-heap on bottom level (critical path first), the
-     same priority the makespan model schedules by. *)
-  let bottom = Makespan.bottom_levels p ~cost in
-  let instructions = List.filter (fun n -> match n.Ir.op with Ir.Input _ -> false | _ -> true) (Ir.topological p) in
-  let sh =
-    {
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      ready = Fheap.create ();
-      values = Hashtbl.create 64;
-      pending_parents = Hashtbl.create 64;
-      remaining_uses = Hashtbl.create 64;
-      peak_live = 0;
-      per_node = [];
-      op_counts = Executor.zero_op_counts;
-      outstanding = List.length instructions;
-      live_workers = workers;
-      failure = None;
-    }
+  let bottom = Makespan.bottom_levels compiled.Eva_core.Compile.program ~cost in
+  let s =
+    Executor.run_graph ~record_per_node:true ?interpose:(Option.map Fault.interpose fault) ?cancel
+      ~hoist ~workers
+      ~priority:(fun n -> Hashtbl.find bottom n.Ir.id)
+      engine compiled
   in
-  let push n =
-    if not (Hashtbl.mem satellite n.Ir.id) then Fheap.push sh.ready (-.Hashtbl.find bottom n.Ir.id) n
-  in
-  List.iter (fun (id, v) -> Hashtbl.replace sh.values id v) (Executor.input_values engine);
-  sh.peak_live <- Hashtbl.length sh.values;
-  List.iter (fun n -> Hashtbl.replace sh.remaining_uses n.Ir.id (List.length n.Ir.uses)) p.Ir.all_nodes;
-  List.iter
-    (fun n ->
-      Hashtbl.replace sh.pending_parents n.Ir.id (Array.length n.Ir.parms);
-      if Array.length n.Ir.parms = 0 then push n)
-    instructions;
-  (* Input nodes are pre-resolved: unblock their children. *)
-  let outputs = ref [] in
-  Mutex.lock sh.mutex;
-  List.iter
-    (fun n ->
-      match n.Ir.op with
-      | Ir.Input _ ->
-          List.iter
-            (fun c ->
-              let d = Hashtbl.find sh.pending_parents c.Ir.id - 1 in
-              Hashtbl.replace sh.pending_parents c.Ir.id d;
-              if d = 0 then push c)
-            n.Ir.uses
-      | _ -> ())
-    p.Ir.all_nodes;
-  Mutex.unlock sh.mutex;
-  (* Completing a node under a fault plan: a worker ordered to [Die]
-     requeues its claimed node and exits — safe, because parent values
-     are only released on completion, so whichever worker picks the node
-     up re-reads identical inputs (bit-exact re-execution). Transient
-     failures and timeouts requeue within the retry budget and become
-     structured EVA-E506/E505 beyond it; if every worker has died with
-     work outstanding the run ends in EVA-E504 instead of deadlocking
-     (each state change broadcasts, so no waiter is stranded). *)
-  let worker () =
-    let rec loop () =
-      Mutex.lock sh.mutex;
-      let rec wait () =
-        if sh.failure <> None || sh.outstanding = 0 then None
-        else if Fheap.is_empty sh.ready then begin
-          Condition.wait sh.cond sh.mutex;
-          wait ()
-        end
-        else Some (snd (Fheap.pop sh.ready))
-      in
-      match wait () with
-      | None ->
-          Condition.broadcast sh.cond;
-          Mutex.unlock sh.mutex
-      (* The cooperative-cancellation checkpoint: the token is observed
-         between claimed nodes, so a cancelled run stops within one node
-         — the claimed node is abandoned (never evaluated), the failure
-         is the structured EVA-E505, and every worker drains out through
-         the [failure <> None] guard above. *)
-      | Some n when Eva_core.Cancel.cancelled cancel <> None ->
-          (match Eva_core.Cancel.cancelled cancel with
-          | Some reason when sh.failure = None ->
-              sh.failure <-
-                Some
-                  (Diag.Error
-                     (Eva_core.Cancel.to_diag ~node_id:n.Ir.id ~op:(Ir.op_name n.Ir.op) reason))
-          | _ -> ());
-          Condition.broadcast sh.cond;
-          Mutex.unlock sh.mutex
-      | Some n ->
-          let parents = Array.to_list (Array.map (fun m -> Hashtbl.find sh.values m.Ir.id) n.Ir.parms) in
-          Mutex.unlock sh.mutex;
-          let group = Hashtbl.find_opt group_of_leader n.Ir.id in
-          let members =
-            match group with Some g -> g.Eva_core.Optimize.hoist_rotations | None -> [ n ]
-          in
-          (* The plan is consulted for every member of a claimed group,
-             in member order; the first non-Proceed action fires and is
-             attributed to that member (so a Die scripted at a satellite
-             still kills the worker mid-group). Later members' scripts
-             are not consumed by the aborted attempt. *)
-          let action, action_node =
-            match fault with
-            | None -> (Fault.Proceed, n)
-            | Some f ->
-                let rec first = function
-                  | [] -> (Fault.Proceed, n)
-                  | m :: rest -> (
-                      match Fault.next_action f ~node_id:m.Ir.id with
-                      | Fault.Proceed -> first rest
-                      | a -> (a, m))
-                in
-                first members
-          in
-          if action = Fault.Die then begin
-            Mutex.lock sh.mutex;
-            push n;
-            sh.live_workers <- sh.live_workers - 1;
-            if sh.live_workers = 0 && sh.outstanding > 0 && sh.failure = None then
-              sh.failure <-
-                Some
-                  (Diag.Error
-                     (Diag.make ~node_id:n.Ir.id ~op:(Ir.op_name n.Ir.op) ~layer:Diag.Execute
-                        ~code:Diag.exec_workers_died
-                        (Printf.sprintf "all %d workers died with %d instructions outstanding"
-                           workers sh.outstanding)));
-            Condition.broadcast sh.cond;
-            Mutex.unlock sh.mutex
-            (* the domain exits here: death is permanent, never respawned *)
-          end
-          else begin
-            let tn = Unix.gettimeofday () in
-            let result =
-              match action with
-              | Fault.Die -> assert false
-              | Fault.Fail -> Error `Transient
-              | Fault.Timeout dt ->
-                  Unix.sleepf dt;
-                  Error `Timeout
-              | Fault.Proceed | Fault.Delay _ | Fault.Corrupt _ -> (
-                  (match action with Fault.Delay dt -> Unix.sleepf dt | _ -> ());
-                  try
-                    let vs =
-                      match group with
-                      | None -> [ (n, Executor.eval_node engine n parents) ]
-                      | Some g -> Executor.eval_rotation_group engine g (List.hd parents)
-                    in
-                    Ok
-                      (match action with
-                      | Fault.Corrupt k ->
-                          List.map
-                            (fun (m, v) ->
-                              (m, if m.Ir.id = action_node.Ir.id then Fault.corrupt_value k v else v))
-                            vs
-                      | _ -> vs)
-                  with e -> Error (`Fatal (Executor.node_failure action_node e)))
-            in
-            let dt = Unix.gettimeofday () -. tn in
-            (* Retry verdicts — and their decorrelated-jitter pauses —
-               are decided before the shared lock is taken, so a backing-
-               off retrier never stalls the workers still making
-               progress. *)
-            let result =
-              match result with
-              | Ok vs -> `Publish vs
-              | Error (`Fatal e) -> `Fail e
-              | Error ((`Transient | `Timeout) as what) -> (
-                  let f = Option.get fault in
-                  match Fault.note_retry f ~node_id:action_node.Ir.id with
-                  | `Retry ->
-                      Fault.retry_pause f;
-                      `Requeue
-                  | `Exhausted ->
-                      `Fail
-                        (Diag.Error
-                           (Diag.make ~node_id:action_node.Ir.id
-                              ~op:(Ir.op_name action_node.Ir.op) ~layer:Diag.Execute
-                              ~code:
-                                (match what with
-                                | `Transient -> Diag.exec_retry_exhausted
-                                | `Timeout -> Diag.exec_timeout)
-                              (Printf.sprintf "node %d %s beyond the %d-retry budget"
-                                 action_node.Ir.id
-                                 (match what with
-                                 | `Transient -> "failed transiently"
-                                 | `Timeout -> "timed out")
-                                 (Fault.max_retries f)))))
-            in
-            Mutex.lock sh.mutex;
-            (match result with
-            | `Fail e -> if sh.failure = None then sh.failure <- Some e
-            | `Requeue -> (
-                match group with
-                | Some g ->
-                    (* A transient failure anywhere in a hoist group
-                       dissolves it: re-running the whole group makes the
-                       retry re-win one fault draw per member, so a wide
-                       fan under a lossy plan would never complete (a
-                       16-member group at 30% per-member failure succeeds
-                       0.7^16 ≈ 0.4% of attempts). Degrade to individual
-                       un-hoisted rotations — bit-exact with the grouped
-                       evaluation by construction — so each node's retry
-                       budget covers only its own hazard. The shared
-                       source is still live (values release only on
-                       completion) and every member's other scheduling
-                       state was initialised per node, so the members are
-                       directly claimable. *)
-                    Hashtbl.remove group_of_leader n.Ir.id;
-                    List.iter
-                      (fun m -> Hashtbl.remove satellite m.Ir.id)
-                      g.Eva_core.Optimize.hoist_rotations;
-                    List.iter push g.Eva_core.Optimize.hoist_rotations
-                | None -> push n)
-            | `Publish vs ->
-              (* Publish every produced value under its own node id (one
-                 for a plain node, the whole group for a leader); the
-                 wall time is attributed to the claimed node. *)
-              List.iter
-                (fun (m, v) ->
-                  Hashtbl.replace sh.values m.Ir.id v;
-                  sh.per_node <- (m.Ir.id, m.Ir.op, if m.Ir.id = n.Ir.id then dt else 0.0) :: sh.per_node;
-                  sh.outstanding <- sh.outstanding - 1;
-                  (* Counted at publish time, so faulted attempts that
-                     never produced a value do not inflate the totals. *)
-                  (match v with
-                  | Executor.Ct _ -> sh.op_counts <- Executor.count_ct_op m.Ir.op sh.op_counts
-                  | Executor.Plain _ -> ());
-                  match m.Ir.op with
-                  | Ir.Output name -> outputs := (name, v) :: !outputs
-                  | _ -> ())
-                vs;
-              if Hashtbl.length sh.values > sh.peak_live then sh.peak_live <- Hashtbl.length sh.values;
-              (* Release parents whose last consumer just ran: drop their
-                 stored value so peak memory follows DAG width, not
-                 program size. Output values stay live for decryption. *)
-              List.iter
-                (fun (m, _) ->
-                  Array.iter
-                    (fun parent ->
-                      let r = Hashtbl.find sh.remaining_uses parent.Ir.id - 1 in
-                      Hashtbl.replace sh.remaining_uses parent.Ir.id r;
-                      if r = 0 then
-                        match parent.Ir.op with
-                        | Ir.Output _ -> ()
-                        | _ -> Hashtbl.remove sh.values parent.Ir.id)
-                    m.Ir.parms;
-                  List.iter
-                    (fun c ->
-                      let d = Hashtbl.find sh.pending_parents c.Ir.id - 1 in
-                      Hashtbl.replace sh.pending_parents c.Ir.id d;
-                      if d = 0 then push c)
-                    m.Ir.uses)
-                vs);
-            Condition.broadcast sh.cond;
-            Mutex.unlock sh.mutex;
-            loop ()
-          end
-    in
-    loop ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains;
-  (match sh.failure with Some e -> raise e | None -> ());
-  let execute_seconds = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let outputs = List.rev_map (fun (name, v) -> (name, Executor.read_output engine v)) !outputs in
-  let decrypt_seconds = Unix.gettimeofday () -. t1 in
-  let pt_cache_hits, pt_cache_misses = Executor.pt_cache_counters engine in
+  let outputs, timings = Executor.decode engine s in
   {
     outputs;
     timings =
       {
-        Executor.context_seconds = Executor.engine_context_seconds engine;
-        encrypt_seconds = Executor.engine_encrypt_seconds engine;
-        execute_seconds;
-        decrypt_seconds;
-        per_node = List.sort (fun (a, _, _) (b, _, _) -> compare a b) sh.per_node;
-        pt_cache_hits;
-        pt_cache_misses;
-        op_counts = sh.op_counts;
+        timings with
+        Executor.per_node = List.sort (fun (a, _, _) (b, _, _) -> compare a b) timings.Executor.per_node;
       };
-    peak_live_values = sh.peak_live;
+    peak_live_values = s.Executor.peak_live_values;
   }
 
 let execute ?seed ?ignore_security ?log_n ?cost ?fault ?cancel ?hoist ~workers compiled bindings =

@@ -1,15 +1,14 @@
 (** Multicore execution of compiled EVA programs.
 
     The paper's executor schedules ready FHE instructions dynamically
-    onto threads (built on the Galois runtime); this implementation uses
-    OCaml 5 domains with a shared ready list ordered by bottom level
-    (critical path first — the same priority {!Makespan.simulate}
-    models, so measured and modeled schedules agree). A node becomes
-    ready when all parameters are computed; each instruction only writes
-    its own slot, so workers never conflict (Section 6.1). Ciphertext
-    buffers are released as soon as their last consumer finishes, so
-    peak live values track DAG width rather than program size; the
-    high-water mark is reported. *)
+    onto threads (built on the Galois runtime). Here that scheduler is
+    {!Eva_core.Executor.run_graph} on OCaml 5 domains; this module runs
+    it with a ready list ordered by bottom level (critical path first —
+    the same priority {!Makespan.simulate} models, so measured and
+    modeled schedules agree) and plugs a {!Fault} plan into its
+    [interpose] seam. Ciphertext buffers are released as soon as their
+    last consumer finishes, so peak live values track DAG width rather
+    than program size; the high-water mark is reported. *)
 
 type result = {
   outputs : (string * float array) list;
@@ -18,36 +17,35 @@ type result = {
 }
 
 (** [execute_on ~workers engine c] evaluates an already-prepared engine
-    (context, keys and encrypted inputs reused across calls). [cost]
-    overrides the ready-priority cost model (default: the analytic
-    {!Cost} model at the compiled parameters).
+    (context, keys and encrypted inputs reused across calls) on
+    [workers] domains, the caller's included. [cost] overrides the
+    ready-priority cost model (default: the analytic {!Cost} model at
+    the compiled parameters); outputs are bit-identical at every worker
+    count and cost.
 
-    [fault] injects deterministic faults (see {!Fault}): a worker told
-    to die requeues its node and exits permanently (all workers dead
-    with work outstanding is EVA-E504); transient failures and timeouts
-    requeue within the plan's retry budget (EVA-E506/E505 beyond it);
-    node evaluation errors are anchored to their node via
-    {!Eva_core.Executor.node_failure}. With [fault] absent, no hook
-    runs.
+    [fault] injects deterministic faults through {!Fault.interpose}:
+    transient failures and timeouts retry in place within the plan's
+    budget (EVA-E506/E505 beyond it); a worker told to die requeues its
+    node and exits permanently, and all workers dead with work
+    outstanding is EVA-E504. Node evaluation errors are anchored to
+    their node. With [fault] absent, no hook runs.
 
-    [cancel] (default {!Eva_core.Cancel.never}) is the cooperative
-    cancellation token: every worker observes it between claimed nodes,
-    so a cancelled run stops within one node — the claimed node is
-    abandoned unevaluated and the run raises the token's structured
-    EVA-E505, freeing the request's live ciphertexts with the call
-    frame instead of running the DAG to completion.
+    [cancel] (default {!Eva_core.Cancel.never}) is checked before every
+    node, so a cancelled run stops within one node with the token's
+    structured EVA-E505, freeing the request's live ciphertexts with
+    the call frame instead of running the DAG to completion.
 
     [hoist] (default true) executes each RotateMany hoist group
     ({!Eva_core.Optimize.rotation_groups}) as one unit on one worker:
     only the group leader is claimable, and completing it publishes
     every member's value under its own node id — so worker death
     mid-group requeues the leader and the group re-executes bit-exactly.
-    When a fault plan is given, each claim of a group consults the plan
-    for every member in order and fires the first non-Proceed action.
+    Each member still passes through the fault plan on its own.
 
     Outputs are raw full-width slot vectors, as in
     {!Eva_core.Executor.run_on}; callers unpack vectorized layouts via
-    {!Eva_core.Compile.unpack_outputs}. *)
+    {!Eva_core.Compile.unpack_outputs}. [timings.per_node] is sorted by
+    node id. *)
 val execute_on :
   ?cost:(Eva_core.Ir.node -> float) ->
   ?fault:Fault.t ->

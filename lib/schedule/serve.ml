@@ -35,7 +35,7 @@ type shed_mode =
 type config = {
   queue_depth : int;  (** admission-queue bound; see submit *)
   pipeline : int;  (** worker domains; 0 = evaluate on the calling thread *)
-  graph_workers : int;  (** Parallel.execute_on workers per request *)
+  graph_workers : int;  (** Executor.run_graph workers per execution *)
   encrypt_workers : int;  (** domains for per-request input encryption *)
   default_deadline_ms : int option;  (** applied when a request carries none *)
   max_request_retries : int;  (** request-level retries after worker death *)
@@ -100,11 +100,15 @@ let slot_utilization s =
    ample for p99 estimation over recent traffic. *)
 let latency_window = 4096
 
+(* A slot-batched width the dispatcher can pick: its lane count, the
+   batched program, and that program's ready-list priority. *)
+type variant = { lanes : int; vcompiled : Compile.compiled; priority : Ir.node -> float }
+
 type t = {
   cfg : config;
   compiled : Compile.compiled;
   engine : Executor.engine;
-  variants : (int * Compile.compiled) array;
+  variants : variant array;
       (** slot-batched widths available to the dispatcher: power-of-two
           lane counts (ascending, starting at 1) paired with the batched
           program, bounded by [max_batch] and the context's slots *)
@@ -171,76 +175,9 @@ let note_exec_time t dt =
    the calibrated analytic model before that. *)
 let est_service_s t = if t.ewma_exec_s > 0.0 then t.ewma_exec_s else t.est_model_s
 
-(* Evaluate one admitted request under its cancellation token: the
-   request's own deadline (or the config default) parented to the
-   daemon's shutdown token. The token is checked when a worker picks the
-   request up (a request that aged out in the queue is refused as
-   EVA-E505 without paying for encryption), re-checked after encryption
-   and between retry attempts, and threaded into the executors, which
-   check it per node — so a deadline blown mid-graph stops within one
-   node and the request's live ciphertexts are freed with the frame.
-
-   Worker death that exhausts the graph executor (EVA-E504) is retried
-   at request level, paced by decorrelated jitter (seeded per request,
-   so the schedule is reproducible) and charged against the daemon-wide
-   retry budget — a persistently faulty daemon stops retrying instead of
-   amplifying load. *)
-let process t (req : Wire.request) t_admit =
-  let id = req.Wire.req_id in
-  let deadline = match req.Wire.deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms in
-  let deadline_at = Option.map (fun d -> t_admit +. (float_of_int d /. 1000.0)) deadline in
-  let token = Cancel.make ?deadline_at ~parent:t.shutdown_token () in
-  match Cancel.cancelled token with
-  | Some Cancel.Deadline when deadline <> None ->
-      Error
-        (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout
-           (Printf.sprintf "request %d exceeded its %dms deadline in the admission queue" id
-              (Option.get deadline)))
-  | Some reason -> Error (Cancel.to_diag reason)
-  | None ->
-      let bindings = List.map (fun (name, v) -> (name, Reference.Vec v)) req.Wire.req_inputs in
-      let fault = t.fault_for id in
-      let backoff = lazy (Backoff.make ~base_ms:0.5 ~cap_ms:50.0 ~seed:(request_seed t.cfg id) ()) in
-      let t_exec = now () in
-      let rec attempt tries =
-        match
-          Cancel.check token;
-          let e =
-            Executor.rebind ~seed:(request_seed t.cfg id) ~reset_cache:false
-              ~encrypt_workers:t.cfg.encrypt_workers t.engine t.compiled bindings
-          in
-          (* Encryption is the most expensive pre-graph step; a deadline
-             that expired while it ran must not also pay for the graph. *)
-          Cancel.check token;
-          (* With one graph worker and no fault plan, the plain executor
-             is the same schedule minus a domain spawn per request — the
-             spawn is pure latency on small programs. *)
-          match fault with
-          | None when t.cfg.graph_workers = 1 ->
-              let s = Executor.run_graph ~cancel:token e t.compiled in
-              List.map (fun (name, v) -> (name, Executor.read_output e v)) s.Executor.raw_outputs
-          | _ ->
-              (Parallel.execute_on ?fault ~cancel:token ~workers:t.cfg.graph_workers e t.compiled)
-                .Parallel.outputs
-        with
-        | outputs ->
-            note_exec_time t (now () -. t_exec);
-            Ok (Compile.unpack_outputs t.compiled outputs)
-        | exception Diag.Error d
-          when d.Diag.code = Diag.exec_workers_died
-               && tries < t.cfg.max_request_retries
-               && take_retry_token t ->
-            Backoff.sleep ?limit_ms:(Cancel.remaining_ms token) (Lazy.force backoff);
-            attempt (tries + 1)
-        | exception e -> (
-            (* Any classifiable failure — scheme-layer mismatch, unbound
-               input, exhausted retry budget — fails this request only.
-               Foreign exceptions are bugs and still crash the daemon. *)
-            match Diag.classify e with Some d -> Error d | None -> raise e)
-      in
-      attempt 0
-
-let finish t payload t_admit =
+(* Answer one admitted request and account for it. *)
+let answer t (req : Wire.request) t_admit payload =
+  safe_respond t { Wire.resp_id = req.Wire.req_id; payload };
   Mutex.lock t.lock;
   (match payload with
   | Ok _ -> t.served <- t.served + 1
@@ -263,169 +200,169 @@ let note_batch t live =
   t.slots_available <- t.slots_available + t.ctx_slots;
   Mutex.unlock t.lock
 
-let dispatch_one t ((req : Wire.request), t_admit) =
-  let payload = process t req t_admit in
-  (match payload with Ok _ -> note_batch t 1 | Error _ -> ());
-  safe_respond t { Wire.resp_id = req.Wire.req_id; payload };
-  finish t payload t_admit
+let deadline_of t (req : Wire.request) =
+  match req.Wire.deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
 
-(* One slot-batched execution for two or more collected requests
-   (tentpole of the batching work). Per-request degradation semantics
-   survive the shared ciphertext:
+(* One admitted request at dispatch: its own cancellation token carries
+   its deadline (or the config default), parented to the daemon's
+   shutdown token. *)
+type member = {
+  req : Wire.request;
+  t_admit : float;
+  deadline : int option;
+  deadline_at : float option;
+  token : Cancel.token;
+}
 
-   - every member keeps its own cancellation token (its deadline, or the
-     config default, parented to the daemon's shutdown token); members
-     already cancelled at pickup are answered EVA-E505 individually and
-     drop out before costing anything;
-   - the batch itself runs under a token whose deadline is the {e
-     latest} member deadline, and only when every member carries one —
-     an early member must never cancel its batchmates. The early member
-     is re-checked against its own token when results scatter and is
-     answered EVA-E505 while the others get their answers;
-   - a batch-wide cancellation (all deadlines passed, or shutdown)
-     answers each member with its own verdict;
-   - any other classifiable failure — a worker death that exhausted the
-     graph executor, one member's unbound input, a scheme-layer
-     mismatch — dissolves the batch: members re-run individually
-     through [process], restoring per-request retries, fault plans and
-     error verdicts. Foreign exceptions are bugs and still escape. *)
-let process_batch t members =
-  let annotated =
-    List.map
+(* A member's own EVA-E505 verdict once its token reads cancelled: its
+   deadline lapsed [where], or the daemon is shutting down. *)
+let verdict m where =
+  match Cancel.cancelled m.token with
+  | Some Cancel.Deadline when m.deadline <> None ->
+      Some
+        (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout
+           (Printf.sprintf "request %d exceeded its %dms deadline %s" m.req.Wire.req_id
+              (Option.get m.deadline) where))
+  | Some reason -> Some (Cancel.to_diag reason)
+  | None -> None
+
+(* The one serving path, for one request or a slot batch of several:
+   the members ride one execution of the narrowest variant that holds
+   them. A lone request is the width-1 variant — the program itself,
+   encrypted by [rebind_batched ~seeds:[|request_seed|]], bit-identical
+   to [rebind ~seed]. Per-request degradation semantics survive the
+   shared ciphertext:
+
+   - members already cancelled at pickup (a deadline that lapsed in the
+     queue, or shutdown) are answered EVA-E505 individually and drop out
+     before costing anything;
+   - a lone request runs under its own token. A batch runs under a
+     token whose deadline is the {e latest} member deadline, and only
+     when every member carries one — an early member must never cancel
+     its batchmates. Each batchmate is re-checked against its own token
+     when results scatter (and on a batch-wide cancellation), so an
+     early member is answered EVA-E505 while the others get theirs;
+   - a worker death that exhausted the graph executor (EVA-E504) at
+     width 1 is retried whole, paced by decorrelated jitter (seeded per
+     request, so the schedule is reproducible) and charged against the
+     daemon-wide retry budget — a persistently faulty daemon stops
+     retrying instead of amplifying load;
+   - any other classifiable failure of a batch — a worker death, one
+     member's unbound input, a scheme-layer mismatch — dissolves it:
+     members are re-dispatched one by one, restoring per-request
+     retries, fault plans and verdicts. At width 1 it is that request's
+     answer. Foreign exceptions are bugs and still escape.
+
+   The token is checked before encryption, after it (a deadline that
+   expired while the most expensive pre-graph step ran must not also
+   pay for the graph) and per node inside the executor, so a deadline
+   blown mid-graph stops within one node and the live ciphertexts are
+   freed with the frame. *)
+let rec dispatch t admitted =
+  let live =
+    List.filter_map
       (fun ((req : Wire.request), t_admit) ->
-        let deadline =
-          match req.Wire.deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
-        in
+        let deadline = deadline_of t req in
         let deadline_at = Option.map (fun d -> t_admit +. (float_of_int d /. 1000.0)) deadline in
         let token = Cancel.make ?deadline_at ~parent:t.shutdown_token () in
-        (req, t_admit, deadline, deadline_at, token))
-      members
+        let m = { req; t_admit; deadline; deadline_at; token } in
+        match verdict m "in the admission queue" with
+        | Some d ->
+            answer t m.req m.t_admit (Error d);
+            None
+        | None -> Some m)
+      admitted
   in
-  let live, dead = List.partition (fun (_, _, _, _, tok) -> Cancel.cancelled tok = None) annotated in
-  List.iter
-    (fun ((req : Wire.request), t_admit, deadline, _, tok) ->
-      let payload =
-        match Cancel.cancelled tok with
-        | Some Cancel.Deadline when deadline <> None ->
-            Error
-              (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout
-                 (Printf.sprintf "request %d exceeded its %dms deadline in the admission queue"
-                    req.Wire.req_id (Option.get deadline)))
-        | Some reason -> Error (Cancel.to_diag reason)
-        | None -> assert false
-      in
-      safe_respond t { Wire.resp_id = req.Wire.req_id; payload };
-      finish t payload t_admit)
-    dead;
-  match live with
-  | [] -> ()
-  | [ (req, t_admit, _, _, _) ] -> dispatch_one t (req, t_admit)
-  | live -> (
-      let n = List.length live in
-      let lanes, vcompiled =
-        (* Smallest variant wide enough; [collect] bounds the member
-           count by the widest, so the scan cannot fall off the end.
-           Lanes beyond [n] are zero-padded and never scattered back. *)
-        let rec pick i = if fst t.variants.(i) >= n then t.variants.(i) else pick (i + 1) in
-        pick 0
-      in
-      let seeds =
-        Array.of_list (List.map (fun ((req : Wire.request), _, _, _, _) -> request_seed t.cfg req.Wire.req_id) live)
-      in
-      let member_bindings =
-        Array.of_list
-          (List.map
-             (fun ((req : Wire.request), _, _, _, _) ->
-               List.map (fun (name, v) -> (name, Reference.Vec v)) req.Wire.req_inputs)
-             live)
-      in
-      let batch_deadline =
-        List.fold_left
-          (fun acc (_, _, _, da, _) ->
-            match (acc, da) with Some a, Some d -> Some (Float.max a d) | _ -> None)
-          (Some neg_infinity) live
-      in
-      let btok = Cancel.make ?deadline_at:batch_deadline ~parent:t.shutdown_token () in
-      let fault = List.find_map (fun ((req : Wire.request), _, _, _, _) -> t.fault_for req.Wire.req_id) live in
-      let t_exec = now () in
-      match
-        Cancel.check btok;
-        let e =
-          Executor.rebind_batched ~seeds ~encrypt_workers:t.cfg.encrypt_workers t.engine vcompiled
-            member_bindings
+  if live <> [] then execute t live
+
+and execute t members =
+  let n = List.length members in
+  (* Smallest variant wide enough; [collect] bounds the member count by
+     the widest, so the scan cannot fall off the end. Lanes beyond [n]
+     are zero-padded and never scattered back. *)
+  let v =
+    let rec pick i = if t.variants.(i).lanes >= n then t.variants.(i) else pick (i + 1) in
+    pick 0
+  in
+  let seeds = Array.of_list (List.map (fun m -> request_seed t.cfg m.req.Wire.req_id) members) in
+  let bindings =
+    Array.of_list
+      (List.map
+         (fun m -> List.map (fun (name, x) -> (name, Reference.Vec x)) m.req.Wire.req_inputs)
+         members)
+  in
+  let token =
+    match members with
+    | [ m ] -> m.token
+    | _ ->
+        let latest =
+          List.fold_left
+            (fun acc m ->
+              match (acc, m.deadline_at) with Some a, Some d -> Some (Float.max a d) | _ -> None)
+            (Some neg_infinity) members
         in
-        Cancel.check btok;
-        match fault with
-        | None when t.cfg.graph_workers = 1 ->
-            let s = Executor.run_graph ~cancel:btok e vcompiled in
-            List.map (fun (name, v) -> (name, Executor.read_output e v)) s.Executor.raw_outputs
-        | _ ->
-            (Parallel.execute_on ?fault ~cancel:btok ~workers:t.cfg.graph_workers e vcompiled)
-              .Parallel.outputs
-      with
-      | outputs ->
-          note_exec_time t (now () -. t_exec);
-          List.iteri
-            (fun b ((req : Wire.request), t_admit, deadline, _, tok) ->
-              let payload =
-                match Cancel.cancelled tok with
-                | Some Cancel.Deadline when deadline <> None ->
-                    Error
-                      (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout
-                         (Printf.sprintf
-                            "request %d exceeded its %dms deadline while its batch completed"
-                            req.Wire.req_id (Option.get deadline)))
-                | Some reason -> Error (Cancel.to_diag reason)
-                | None ->
-                    Ok
-                      (Compile.unpack_outputs t.compiled
-                         (List.map
-                            (fun (name, full) -> (name, Executor.extract_lane ~lanes ~lane:b full))
-                            outputs))
-              in
-              safe_respond t { Wire.resp_id = req.Wire.req_id; payload };
-              finish t payload t_admit)
-            live;
-          note_batch t n
-      | exception Diag.Error d when d.Diag.code = Diag.exec_timeout ->
-          (* Batch-wide cancellation: the batch deadline is the max of
-             the members' (so each member's own has passed too) or the
-             daemon is shutting down. Verdicts stay per member. *)
-          List.iter
-            (fun ((req : Wire.request), t_admit, deadline, _, tok) ->
-              let payload =
-                match Cancel.cancelled tok with
-                | Some Cancel.Deadline when deadline <> None ->
-                    Error
-                      (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout
-                         (Printf.sprintf "request %d exceeded its %dms deadline mid-batch"
-                            req.Wire.req_id (Option.get deadline)))
-                | Some reason -> Error (Cancel.to_diag reason)
-                | None -> Error d
-              in
-              safe_respond t { Wire.resp_id = req.Wire.req_id; payload };
-              finish t payload t_admit)
-            live
-      | exception e when Diag.classify e <> None ->
-          Mutex.lock t.lock;
-          t.dissolved <- t.dissolved + 1;
-          Mutex.unlock t.lock;
-          List.iter (fun (req, t_admit, _, _, _) -> dispatch_one t (req, t_admit)) live)
+        Cancel.make ?deadline_at:latest ~parent:t.shutdown_token ()
+  in
+  let interpose =
+    Option.map Fault.interpose (List.find_map (fun m -> t.fault_for m.req.Wire.req_id) members)
+  in
+  let backoff = lazy (Backoff.make ~base_ms:0.5 ~cap_ms:50.0 ~seed:seeds.(0) ()) in
+  let t_exec = now () in
+  let rec attempt tries =
+    match
+      Cancel.check token;
+      let e =
+        Executor.rebind_batched ~seeds ~encrypt_workers:t.cfg.encrypt_workers t.engine v.vcompiled
+          bindings
+      in
+      Cancel.check token;
+      let s =
+        Executor.run_graph ?interpose ~cancel:token ~workers:t.cfg.graph_workers ~priority:v.priority e
+          v.vcompiled
+      in
+      List.map (fun (name, x) -> (name, Executor.read_output e x)) s.Executor.raw_outputs
+    with
+    | outputs -> Ok outputs
+    | exception Diag.Error d
+      when n = 1
+           && d.Diag.code = Diag.exec_workers_died
+           && tries < t.cfg.max_request_retries
+           && take_retry_token t ->
+        Backoff.sleep ?limit_ms:(Cancel.remaining_ms token) (Lazy.force backoff);
+        attempt (tries + 1)
+    | exception e -> ( match Diag.classify e with Some d -> Error d | None -> raise e)
+  in
+  (* A member whose own token is the execution's gets the raw outcome;
+     batchmates get their own verdict first. *)
+  let own m where outcome =
+    if m.token == token then outcome
+    else match verdict m where with Some d -> Error d | None -> outcome
+  in
+  match attempt 0 with
+  | Ok outputs ->
+      note_exec_time t (now () -. t_exec);
+      note_batch t n;
+      List.iteri
+        (fun b m ->
+          let lane =
+            List.map (fun (name, full) -> (name, Executor.extract_lane ~lanes:v.lanes ~lane:b full)) outputs
+          in
+          answer t m.req m.t_admit (own m "while its batch completed" (Ok (Compile.unpack_outputs t.compiled lane))))
+        members
+  | Error d when n = 1 || d.Diag.code = Diag.exec_timeout ->
+      List.iter (fun m -> answer t m.req m.t_admit (own m "mid-batch" (Error d))) members
+  | Error _ ->
+      Mutex.lock t.lock;
+      t.dissolved <- t.dissolved + 1;
+      Mutex.unlock t.lock;
+      List.iter (fun m -> dispatch t [ (m.req, m.t_admit) ]) members
 
-let dispatch t = function
-  | [] -> ()
-  | [ m ] -> dispatch_one t m
-  | members -> process_batch t members
-
-(* Greedily move queued requests into a batch rooted at [first], up to
-   the widest variant; called with the lock held, never waits. *)
-let grab_batch_locked t first =
-  let acc = ref [ first ] and n = ref 1 in
-  while !n < t.eff_max_batch && not (Queue.is_empty t.queue) do
-    acc := Queue.take t.queue :: !acc;
-    incr n
-  done;
-  (List.rev !acc, !n)
+(* Greedily move queued requests onto the end of [members], up to the
+   widest variant; called with the lock held, never waits. *)
+let rec top_up_locked t members =
+  if List.length members < t.eff_max_batch && not (Queue.is_empty t.queue) then
+    top_up_locked t (members @ [ Queue.take t.queue ])
+  else members
 
 (* Gather one batch for a worker, starting from an already-dequeued
    [first]. Called with the lock held; returns with it released.
@@ -437,32 +374,25 @@ let grab_batch_locked t first =
    start. A worker therefore trades at most [batch_linger_ms] of p50
    latency for packing, and nothing at all when deadlines are tight. *)
 let collect t first =
-  let members, n = grab_batch_locked t first in
-  let members = ref members and n = ref n in
+  let members = ref (top_up_locked t [ first ]) in
   let linger_s = t.cfg.batch_linger_ms /. 1000.0 in
-  if !n < t.eff_max_batch && linger_s > 0.0 then begin
+  if List.length !members < t.eff_max_batch && linger_s > 0.0 then begin
     let t0 = now () in
     let wait_until () =
       let est = est_service_s t in
       List.fold_left
         (fun acc ((req : Wire.request), t_admit) ->
-          let deadline =
-            match req.Wire.deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
-          in
-          match deadline with
+          match deadline_of t req with
           | None -> acc
           | Some d -> Float.min acc (t_admit +. (float_of_int d /. 1000.0) -. est))
         (t0 +. linger_s) !members
     in
     let rec linger () =
-      if !n < t.eff_max_batch && (not t.closed) && now () < wait_until () then begin
+      if List.length !members < t.eff_max_batch && (not t.closed) && now () < wait_until () then begin
         Mutex.unlock t.lock;
         Unix.sleepf 0.0002;
         Mutex.lock t.lock;
-        while !n < t.eff_max_batch && not (Queue.is_empty t.queue) do
-          members := !members @ [ Queue.take t.queue ];
-          incr n
-        done;
+        members := top_up_locked t !members;
         linger ()
       end
     in
@@ -503,7 +433,21 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
       invalid_arg "Serve.start: shed watermarks need 0 <= low < high"
   | _ -> ());
   let ctx_slots = Executor.engine_degree engine / 2 in
-  let variants =
+  let log_n = int_of_float (Float.round (Float.log2 (float_of_int (Executor.engine_degree engine)))) in
+  (* The calibrated analytic model prices every variant once, at the
+     engine's actual ring degree: its bottom levels order the ready list
+     (critical path first, as in [Parallel.execute_on]), and the
+     width-1 total seeds the admission controller's service estimate,
+     which it blends with measured times. *)
+  let priced l vcompiled =
+    let costs = Cost.program_costs ~log_n Cost.default_coefficients vcompiled in
+    let bottom =
+      Makespan.bottom_levels vcompiled.Compile.program ~cost:(fun n ->
+          Option.value (Hashtbl.find_opt costs n.Ir.id) ~default:0.0)
+    in
+    ({ lanes = l; vcompiled; priority = (fun n -> Hashtbl.find bottom n.Ir.id) }, costs)
+  in
+  let variants, costs =
     (* Power-of-two batch widths up to [max_batch], clamped to what the
        engine's ciphertexts physically hold: lanes * vec_size slots. A
        max_batch past the slot capacity batches as wide as fits rather
@@ -512,17 +456,18 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
     let base_vs = compiled.Compile.program.Ir.vec_size in
     let rec widths acc l =
       if l > config.max_batch || l * base_vs > ctx_slots then List.rev acc
-      else widths ((l, if l = 1 then compiled else Compile.batch compiled ~lanes:l) :: acc) (2 * l)
+      else widths (priced l (if l = 1 then compiled else Compile.batch compiled ~lanes:l) :: acc) (2 * l)
     in
-    Array.of_list (widths [] 1)
+    let priced = widths [] 1 in
+    (Array.of_list (List.map fst priced), snd (List.hd priced))
   in
-  let eff_max_batch = fst variants.(Array.length variants - 1) in
+  let eff_max_batch = variants.(Array.length variants - 1).lanes in
   (* Fail fast, not per batch: every width the dispatcher may pick must
      already have its Galois keys in the engine's keyset. *)
   Array.iter
-    (fun (l, vc) ->
-      if l > 1 then
-        match Executor.missing_rotations engine vc with
+    (fun v ->
+      if v.lanes > 1 then
+        match Executor.missing_rotations engine v.vcompiled with
         | [] -> ()
         | missing ->
             invalid_arg
@@ -530,22 +475,11 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
                  "Serve.start: engine lacks Galois keys for %d-lane batching (slot steps %s); \
                   prepare the engine with \
                   ~extra_rotations:(Compile.batch_rotations compiled ~max_lanes:%d)"
-                 l
+                 v.lanes
                  (String.concat ", " (List.map string_of_int missing))
                  eff_max_batch))
     variants;
-  let est_model_s =
-    (* The calibrated analytic model prices one sequential evaluation of
-       the compiled program at the engine's actual ring degree; the
-       admission controller blends it with measured service times. *)
-    let log_n =
-      int_of_float (Float.round (Float.log2 (float_of_int (Executor.engine_degree engine))))
-    in
-    Hashtbl.fold
-      (fun _ c acc -> acc +. c)
-      (Cost.program_costs ~log_n Cost.default_coefficients compiled)
-      0.0
-  in
+  let est_model_s = Hashtbl.fold (fun _ c acc -> acc +. c) costs 0.0 in
   let t =
     {
       cfg = config;
@@ -599,10 +533,7 @@ let shed_check t (req : Wire.request) =
   | No_shedding -> None
   | Watermarks { high; low } -> (
       let qlen = Queue.length t.queue in
-      let deadline =
-        match req.Wire.deadline_ms with Some _ as d -> d | None -> t.cfg.default_deadline_ms
-      in
-      match deadline with
+      match deadline_of t req with
       | Some d ->
           let est_s = est_service_s t in
           let lanes = float_of_int (max 1 t.cfg.pipeline) in
@@ -652,7 +583,7 @@ let rec submit t (req : Wire.request) =
       if Queue.length t.queue >= t.cfg.queue_depth then begin
         (* The queue is full, so there is no reason to linger: take a
            full-width batch straight off the front. *)
-        let members, _ = grab_batch_locked t (Queue.take t.queue) in
+        let members = top_up_locked t [ Queue.take t.queue ] in
         Mutex.unlock t.lock;
         dispatch t members;
         submit t req
@@ -763,7 +694,7 @@ let drain ?timeout_ms t =
     match Queue.take_opt t.queue with
     | None -> Mutex.unlock t.lock
     | Some first ->
-        let members, _ = grab_batch_locked t first in
+        let members = top_up_locked t [ first ] in
         Mutex.unlock t.lock;
         dispatch t members;
         help ()
@@ -807,15 +738,11 @@ let wire_stats t =
 
 let run_channels ?config ?fault_for ?max_frame ?(on_start = fun _ -> ()) compiled engine ic oc =
   let out_lock = Mutex.create () in
-  let respond r =
-    let payload = Wire.to_string Wire.write_response r in
+  let write payload =
     Mutex.lock out_lock;
-    (try Wire.write_frame oc payload
-     with e ->
-       Mutex.unlock out_lock;
-       raise e);
-    Mutex.unlock out_lock
+    Fun.protect ~finally:(fun () -> Mutex.unlock out_lock) (fun () -> Wire.write_frame oc payload)
   in
+  let respond r = write (Wire.to_string Wire.write_response r) in
   let t = start ?config ?fault_for ~respond compiled engine in
   on_start t;
   let rec loop () =
@@ -826,14 +753,7 @@ let run_channels ?config ?fault_for ?max_frame ?(on_start = fun _ -> ()) compile
            the reply shares the response stream (and its lock). A probe
            whose reply cannot be written (client already gone) is
            dropped like any other response on a broken stream. *)
-        (try
-           let frame = Wire.to_string Wire.write_stats (wire_stats t) in
-           Mutex.lock out_lock;
-           (try Wire.write_frame oc frame
-            with e ->
-              Mutex.unlock out_lock;
-              raise e);
-           Mutex.unlock out_lock
+        (try write (Wire.to_string Wire.write_stats (wire_stats t))
          with Sys_error _ | End_of_file -> ());
         loop ()
     | Some payload ->

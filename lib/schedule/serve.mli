@@ -44,7 +44,7 @@ type config = {
           entirely by the thread calling {!submit} and {!drain} — the
           right choice on a single-core host, where a second domain only
           adds runtime overhead. *)
-  graph_workers : int;  (** [Parallel.execute_on] workers per request *)
+  graph_workers : int;  (** [Executor.run_graph] workers per execution *)
   encrypt_workers : int;  (** domains for per-request input encryption *)
   default_deadline_ms : int option;  (** applied when a request carries none *)
   max_request_retries : int;  (** request-level retries after worker death *)

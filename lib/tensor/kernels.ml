@@ -116,16 +116,6 @@ let finish_kernel ctx img =
       in
       { img with exprs }
 
-(* Sum a non-empty term list as a balanced binary tree: depth log2 k
-   instead of k.  Reductions stay shallow for the makespan scheduler,
-   and under lazy relinearization a tree of ADDs carries size-3
-   ciphertexts to a single accumulator root — one key switch per
-   reduction, however many products feed it. *)
-let balanced_sum terms =
-  match terms with
-  | [] -> invalid_arg "Kernels.balanced_sum: empty term list"
-  | _ -> Eva_core.Simd.balanced_sum ~add:B.add terms
-
 (* Accumulate [rotate_left src rot * mask] terms grouped by
    (src ct, dst ct, rotation), then sum per destination ciphertext. *)
 module Groups = struct
@@ -156,7 +146,7 @@ module Groups = struct
     Array.map
       (function
         | [] -> B.mul srcs.(0) (B.const_vector ctx.builder ~scale (Array.make g.vs 0.0))
-        | terms -> balanced_sum terms)
+        | terms -> Eva_core.Simd.balanced_sum ~add:B.add terms)
       per_dst
 end
 
@@ -288,7 +278,7 @@ let restride_dense ctx img =
                   B.mul rotated (B.const_vector ctx.builder ~scale:ctx.mask_scale mask) :: acc)
                 groups []
             in
-            match terms with [] -> x | terms -> balanced_sum terms
+            match terms with [] -> x | terms -> Eva_core.Simd.balanced_sum ~add:B.add terms
           end)
         exprs
     in
@@ -351,7 +341,7 @@ let bsgs_matvec ctx x ~w ~m ~f =
         in
         match List.filter_map Fun.id terms with
         | [] -> None
-        | terms -> Some (rotate_shared ctx (balanced_sum terms) shift))
+        | terms -> Some (rotate_shared ctx (Eva_core.Simd.balanced_sum ~add:B.add terms) shift))
   in
   match List.filter_map Fun.id giant with
   | [] -> None
@@ -375,7 +365,7 @@ let fully_connected ctx img ~weights =
   let expr =
     match List.filter_map Fun.id parts with
     | [] -> invalid_arg "Kernels.fully_connected: zero weight matrix"
-    | parts -> balanced_sum parts
+    | parts -> Eva_core.Simd.balanced_sum ~add:B.add parts
   in
   finish_kernel ctx { exprs = [| expr |]; layout = dense ~vs ~channels:f ~height:1 ~width:1 }
 
@@ -387,7 +377,7 @@ let fully_connected ctx img ~weights =
 let dot xs ys =
   let k = Array.length xs in
   if k = 0 || Array.length ys <> k then invalid_arg "Kernels.dot: term-count mismatch";
-  balanced_sum (List.init k (fun i -> B.mul xs.(i) ys.(i)))
+  Eva_core.Simd.balanced_sum ~add:B.add (List.init k (fun i -> B.mul xs.(i) ys.(i)))
 
 (* 'same'-padded stride-1 convolution with ENCRYPTED weights:
    [weights.(o).(c).(di).(dj)] is a ciphertext holding the scalar weight
@@ -443,7 +433,7 @@ let conv2d_cipher ctx img ~weights =
     Array.map
       (function
         | [] -> invalid_arg "Kernels.conv2d_cipher: output channel with no contributions"
-        | terms -> balanced_sum terms)
+        | terms -> Eva_core.Simd.balanced_sum ~add:B.add terms)
       per_dst
   in
   finish_kernel ctx { exprs; layout = out_layout }

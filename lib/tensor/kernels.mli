@@ -102,10 +102,6 @@ val restride_dense : ctx -> image -> image
     [f x 1 x 1] in a single ciphertext. Restrides internally. *)
 val fully_connected : ctx -> image -> weights:float array array -> image
 
-(** Sum a non-empty term list as a balanced binary tree (log-depth
-    reductions; one lazy-relin key switch per accumulator root). *)
-val balanced_sum : Eva_core.Builder.expr list -> Eva_core.Builder.expr
-
 (** k-term encrypted dot product: pairwise ciphertext products summed as
     a balanced tree — one relinearize for the whole reduction under the
     compiler's lazy placement, k under [--eager-relin]. *)

@@ -87,4 +87,4 @@ let permute ctx t perm x =
         let masked = extract ctx t ~lane:src x in
         Kernels.rotate_shared ctx masked (src - dst))
   in
-  Kernels.balanced_sum terms
+  Eva_core.Simd.balanced_sum ~add:B.add terms

@@ -158,6 +158,25 @@ let test_missing_input () =
        d.Eva_diag.Diag.code = Eva_diag.Diag.exec_missing_inputs
        && d.Eva_diag.Diag.layer = Eva_diag.Diag.Execute)
 
+(* A scheme-layer failure on the one-worker path is anchored to the node
+   that raised it, as at every worker count: the scale-mismatched add
+   (node 2) surfaces as EVA-E602 carrying its id, never as a raw scheme
+   exception. *)
+let test_failure_anchored_to_node () =
+  let p = Ir.create_program ~vec_size:16 () in
+  let x = Ir.add_node ~decl_scale:30 p (Ir.Input (Ir.Cipher, "x")) [] in
+  let y = Ir.add_node ~decl_scale:40 p (Ir.Input (Ir.Cipher, "y")) [] in
+  let s = Ir.add_node p Ir.Add [ x; y ] in
+  ignore (Ir.add_node ~decl_scale:30 p (Ir.Output "o") [ s ]);
+  let params = Eva_core.Params.select p in
+  let c = { Compile.program = p; params; policy = Passes.Eva; s_f = 60; lanes = 1; packing = None } in
+  let bindings = [ ("x", Reference.Vec [| 0.5 |]); ("y", Reference.Vec [| 0.5 |]) ] in
+  match Executor.execute ~ignore_security:true ~log_n:10 c bindings with
+  | _ -> Alcotest.fail "scale mismatch executed"
+  | exception Eva_diag.Diag.Error d ->
+      Alcotest.(check int) "EVA-E602" Eva_diag.Diag.crypto_scale d.Eva_diag.Diag.code;
+      Alcotest.(check (option int)) "anchored to the add" (Some 2) d.Eva_diag.Diag.node_id
+
 let test_timings_recorded () =
   let b = B.create ~vec_size:16 () in
   let x = B.input b ~scale:30 "x" in
@@ -337,6 +356,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "rebind reuses keys" `Quick test_rebind_reuses_keys;
           Alcotest.test_case "missing input" `Quick test_missing_input;
+          Alcotest.test_case "failure anchored to its node" `Quick test_failure_anchored_to_node;
           Alcotest.test_case "timings" `Quick test_timings_recorded;
           Alcotest.test_case "op counts" `Quick test_op_counts;
           Alcotest.test_case "plain operand passthrough" `Quick test_plain_operand_passthrough;

@@ -6,6 +6,7 @@ module Executor = Eva_core.Executor
 module Cost = Eva_schedule.Cost
 module Makespan = Eva_schedule.Makespan
 module Parallel = Eva_schedule.Parallel
+module Fault = Eva_schedule.Fault
 
 (* A wide program: k independent multiply chains summed at the end. *)
 let wide_program k depth =
@@ -162,8 +163,14 @@ let test_parallel_matches_sequential () =
 
 (* Random DAGs x workers: the parallel executor must agree with the
    sequential one bit for bit — same prepared inputs, same per-node
-   float arithmetic, only the schedule differs. *)
+   float arithmetic, only the schedule differs. Rotation steps are drawn
+   from {1,2,3,5} so sources fan out into hoist groups (at least one
+   seed must form one), and the schedules must also agree on op counts
+   and evaluate every instruction exactly once. Every worker count
+   reruns under a plan that fails each node once: in-place retries keep
+   the outputs bit-exact. *)
 let test_parallel_random_dags_match_sequential () =
+  let grouped = ref 0 in
   List.iter
     (fun seed ->
       let st = Random.State.make [| seed |] in
@@ -177,28 +184,61 @@ let test_parallel_random_dags_match_sequential () =
           | 0 -> B.add (pick ()) (pick ())
           | 1 -> B.sub (pick ()) (pick ())
           | 2 -> B.mul (pick ()) (B.const_scalar b ~scale:10 0.5)
-          | _ -> B.rotate_left (pick ()) 1
+          | _ -> B.rotate_left (pick ()) (List.nth [ 1; 2; 3; 5 ] (Random.State.int st 4))
         in
         pool := e :: !pool
       done;
       B.output b "o" ~scale:30 (List.hd !pool);
       let c = Compile.run (B.program b) in
+      if Eva_core.Optimize.rotation_groups c.Compile.program <> [] then incr grouped;
+      let instructions =
+        List.filter_map
+          (fun n -> match n.Ir.op with Ir.Input _ -> None | _ -> Some n.Ir.id)
+          c.Compile.program.Ir.all_nodes
+      in
+      let covered (t : Executor.timings) =
+        List.map (fun (id, _, _) -> id) t.Executor.per_node |> List.sort compare
+      in
       let bindings = [ ("x", Reference.Vec (Array.init 16 (fun i -> Float.sin (float_of_int i) /. 4.0))) ] in
       let seq = Executor.execute ~seed:7 ~ignore_security:true ~log_n:10 c bindings in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed=%d sequential covers every instruction once" seed)
+        (List.sort compare instructions) (covered seq.Executor.timings);
+      let check_outputs what (par : Parallel.result) =
+        List.iter
+          (fun (name, v) ->
+            let w = List.assoc name par.Parallel.outputs in
+            Array.iteri
+              (fun i xv ->
+                if xv <> w.(i) then
+                  Alcotest.failf "seed=%d %s %s slot %d: %h vs %h" seed what name i xv w.(i))
+              v)
+          seq.Executor.outputs
+      in
       List.iter
         (fun workers ->
           let par = Parallel.execute ~seed:7 ~ignore_security:true ~log_n:10 ~workers c bindings in
-          List.iter
-            (fun (name, v) ->
-              let w = List.assoc name par.Parallel.outputs in
-              Array.iteri
-                (fun i xv ->
-                  if xv <> w.(i) then
-                    Alcotest.failf "seed=%d workers=%d %s slot %d: %h vs %h" seed workers name i xv w.(i))
-                v)
-            seq.Executor.outputs)
+          check_outputs (Printf.sprintf "workers=%d" workers) par;
+          Alcotest.(check bool)
+            (Printf.sprintf "seed=%d workers=%d op counts" seed workers)
+            true
+            (seq.Executor.timings.Executor.op_counts = par.Parallel.timings.Executor.op_counts);
+          Alcotest.(check (list int))
+            (Printf.sprintf "seed=%d workers=%d per-node coverage" seed workers)
+            (covered seq.Executor.timings) (covered par.Parallel.timings);
+          let fault =
+            Fault.plan
+              ~backoff:(Eva_schedule.Backoff.make ~base_ms:0.01 ~cap_ms:0.1 ~seed:0 ())
+              (List.map (fun id -> (id, [ Fault.Fail ])) instructions)
+          in
+          let faulted = Parallel.execute ~seed:7 ~ignore_security:true ~log_n:10 ~fault ~workers c bindings in
+          check_outputs (Printf.sprintf "workers=%d, every node failed once" workers) faulted;
+          Alcotest.(check int)
+            (Printf.sprintf "seed=%d workers=%d every node retried once" seed workers)
+            (List.length instructions) (Fault.counters fault).Fault.retries)
         [ 1; 2; 3; 8 ])
-    [ 11; 42 ]
+    [ 11; 42; 167 ];
+  if !grouped = 0 then Alcotest.fail "no seed formed a hoist group"
 
 (* Regression for the value-release leak: on a 200-deep sequential
    chain, peak simultaneously-live values must track DAG width (a small
