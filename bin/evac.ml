@@ -176,16 +176,23 @@ let validate_cmd =
 
 (* --- run -------------------------------------------------------------- *)
 
-let random_bindings p seed =
-  let st = Random.State.make [| seed |] in
+(* Bind every input of [p] at full width, drawing values in input order. *)
+let bindings_of p draw =
   List.filter_map
     (fun n ->
       match n.Ir.op with
-      | Ir.Input (Ir.Scalar, name) -> Some (name, Reference.Scal (Random.State.float st 2.0 -. 1.0))
-      | Ir.Input (_, name) ->
-          Some (name, Reference.Vec (Array.init p.Ir.vec_size (fun _ -> Random.State.float st 2.0 -. 1.0)))
+      | Ir.Input (Ir.Scalar, name) -> Some (name, Reference.Scal (draw ()))
+      | Ir.Input (_, name) -> Some (name, Reference.Vec (Array.init p.Ir.vec_size (fun _ -> draw ())))
       | _ -> None)
     (Ir.inputs p)
+
+let random_bindings p seed =
+  let st = Random.State.make [| seed |] in
+  bindings_of p (fun () -> Random.State.float st 2.0 -. 1.0)
+
+(* Keygen needs bindings of the right shapes only: the context and keys
+   depend on the program, not the values. *)
+let zero_bindings p = bindings_of p (fun () -> 0.0)
 
 let estimate_cmd =
   (* The estimate must describe the program the user will actually run:
@@ -278,18 +285,8 @@ let run_cmd =
       Format.printf "%a@." Params.pp c.Compile.params;
       let members = Array.init batch (fun b -> random_bindings p (seed + b)) in
       let seeds = Array.init batch (fun b -> seed + b) in
-      let zero_bindings =
-        List.filter_map
-          (fun n ->
-            match n.Ir.op with
-            | Ir.Input (Ir.Scalar, name) -> Some (name, Reference.Scal 0.0)
-            | Ir.Input (_, name) ->
-                Some (name, Reference.Vec (Array.make c.Compile.program.Ir.vec_size 0.0))
-            | _ -> None)
-          (Ir.inputs c.Compile.program)
-      in
       let engine =
-        Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c zero_bindings
+        Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c (zero_bindings p)
       in
       let e = Executor.rebind_batched ~seeds engine c members in
       let outputs, dt = Executor.run_on e c in
@@ -376,17 +373,6 @@ let serve_cmd =
        submits kernel loops to the one shared pool. *)
     ignore (apply_pool_workers ~domains:(max 1 pipeline * workers) pool_workers);
     let c = Compile.run ?waterline ~eager_relin ~optimize ~vectorize:(not no_vectorize) p in
-    (* Keygen against zero bindings: the shapes (and therefore the
-       context and keys) depend only on the program, not the values. *)
-    let zero_bindings =
-      List.filter_map
-        (fun n ->
-          match n.Ir.op with
-          | Ir.Input (Ir.Scalar, name) -> Some (name, Reference.Scal 0.0)
-          | Ir.Input (_, name) -> Some (name, Reference.Vec (Array.make p.Ir.vec_size 0.0))
-          | _ -> None)
-        (Ir.inputs p)
-    in
     (* With batching the one keyset must also cover every batched
        variant's rotations (steps scaled by the lane count). Clamp the
        key generation to the widths that physically fit the ring the
@@ -404,7 +390,7 @@ let serve_cmd =
     in
     let engine =
       Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n ~extra_rotations c
-        zero_bindings
+        (zero_bindings p)
     in
     let config =
       {

@@ -155,27 +155,6 @@ let encode_complex t ~level ~scale values =
 let encode t ~level ~scale values =
   encode_complex t ~level ~scale (Array.map (fun re -> { Complex.re; im = 0.0 }) values)
 
-let encode_strided t ~level ~scale lanes =
-  let b = Array.length lanes in
-  if b = 0 then crypto_error Diag.crypto_context "Context.encode_strided: no lanes";
-  let lane_len = Array.length lanes.(0) in
-  Array.iteri
-    (fun i lane ->
-      if Array.length lane <> lane_len then
-        crypto_error Diag.crypto_context
-          "Context.encode_strided: lane %d has length %d, lane 0 has %d" i (Array.length lane)
-          lane_len)
-    lanes;
-  (* Interleave so lane [b] owns slots {i*B + b}, then encode as usual —
-     bit-identical to [encode] of the pre-interleaved vector. *)
-  let values = Array.make (b * lane_len) 0.0 in
-  for i = 0 to lane_len - 1 do
-    for j = 0 to b - 1 do
-      values.((i * b) + j) <- lanes.(j).(i)
-    done
-  done;
-  encode t ~level ~scale values
-
 let decode_complex t ~scale poly =
   let coeffs = Rns_poly.to_bigint_coeffs poly in
   let inv_scale = 1.0 /. scale in

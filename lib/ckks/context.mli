@@ -68,13 +68,6 @@ val galois_elt_conjugate : t -> int
     polynomial over the first [level] elements, in NTT form. *)
 val encode : t -> level:int -> scale:float -> float array -> Eva_poly.Rns_poly.t
 
-(** [encode_strided t ~level ~scale lanes] encodes [B = Array.length
-    lanes] equal-length per-request vectors into one plaintext under the
-    interleaved slot-batching layout: lane [b] owns slots [{i*B + b}].
-    Bit-identical to {!encode} of the pre-interleaved vector (whose
-    length [B * lane_len] must divide the slot count). *)
-val encode_strided : t -> level:int -> scale:float -> float array array -> Eva_poly.Rns_poly.t
-
 (** [decode t ~scale poly] inverts {!encode} (any form; poly is copied). *)
 val decode : t -> scale:float -> Eva_poly.Rns_poly.t -> float array
 

@@ -37,9 +37,6 @@ let check_scales op a b =
 
 let encode ctx ~level ~scale values = { poly = Context.encode ctx ~level ~scale values; pt_level = level; pt_scale = scale }
 
-let encode_strided ctx ~level ~scale lanes =
-  { poly = Context.encode_strided ctx ~level ~scale lanes; pt_level = level; pt_scale = scale }
-
 let encrypt ctx ks rng pt =
   let tables = Context.tables_for_level ctx pt.pt_level in
   let pk_b_full, pk_a_full = Keys.public_parts ks.Keys.public in

@@ -25,11 +25,6 @@ type plaintext = { poly : Eva_poly.Rns_poly.t; pt_level : int; pt_scale : float 
 
 val encode : Context.t -> level:int -> scale:float -> float array -> plaintext
 
-(** Encode [B] equal-length per-request vectors interleaved so lane [b]
-    owns slots [{i*B + b}] ({!Context.encode_strided}); bit-identical to
-    {!encode} of the pre-interleaved vector. *)
-val encode_strided : Context.t -> level:int -> scale:float -> float array array -> plaintext
-
 val encrypt : Context.t -> Keys.keyset -> Random.State.t -> plaintext -> ciphertext
 
 (** [decrypt ctx secret ct] decodes straight to slot values. *)

@@ -86,10 +86,6 @@ let generate ctx rng ~galois_elts =
     galois_elts;
   (secret, { public; relin; galois })
 
-let add_galois ctx rng secret ks g =
-  let s = full_poly ctx secret.s_rows in
-  Hashtbl.replace ks.galois g (generate_switch_key ctx rng s (Rns_poly.galois s g))
-
 let find_galois ks g = Hashtbl.find_opt ks.galois g
 
 let switch_key_rows k = (k.kb, k.ka)
@@ -148,7 +144,6 @@ let digit_values_into ~full ~lo ~count rows buf =
    make [apply_decomposed] allocation-light but also mean a [decomposed]
    value must not be shared across threads. *)
 type decomposed = {
-  d_level : int;
   d_m : int;  (* data primes at this level *)
   d_target : Ntt.table array;  (* level tables ++ special tables *)
   d_elems : int array;  (* live modulus-element indices *)
@@ -215,7 +210,6 @@ let decompose ctx ~level c =
   in
   let dummy = Rowvec.create 0 in
   {
-    d_level = level;
     d_m = m;
     d_target = target;
     d_elems = Array.map (fun (e, _, _) -> e) live;
@@ -224,8 +218,6 @@ let decompose ctx ~level c =
     d_kb = Array.make tm dummy;
     d_ka = Array.make tm dummy;
   }
-
-let decomposed_level d = d.d_level
 
 let apply_decomposed ?galois ctx key d =
   let target = d.d_target in

@@ -27,10 +27,6 @@ type keyset = {
     evaluation keys, with Galois keys for each requested element. *)
 val generate : Context.t -> Random.State.t -> galois_elts:int list -> secret * keyset
 
-(** Generate (or replace) the Galois key for element [g]; requires the
-    secret, so only the key owner can extend a keyset. *)
-val add_galois : Context.t -> Random.State.t -> secret -> keyset -> int -> unit
-
 val find_galois : keyset -> int -> switch_key option
 
 (** Secret key restricted to the first [level] elements, NTT form. *)
@@ -60,8 +56,6 @@ type decomposed
     either form and is not modified. The result owns per-apply scratch,
     so it must not be shared across threads. *)
 val decompose : Context.t -> level:int -> Eva_poly.Rns_poly.t -> decomposed
-
-val decomposed_level : decomposed -> int
 
 (** [apply_decomposed ?galois ctx key d] finishes the key switch for one
     key: [(d0, d1)] over the first [level] elements with

@@ -65,7 +65,6 @@ let output b name ~scale e =
   if e.b != b then invalid_arg "Builder.output: expression from a different program";
   ignore (Ir.add_node ~decl_scale:scale b.prog (Ir.Output name) [ e.node ])
 
-let declared_inputs b = List.rev b.declared
 let program b = b.prog
 let ir_node e = e.node
 

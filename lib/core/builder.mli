@@ -52,9 +52,6 @@ val polynomial : t -> scale:int -> float list -> expr -> expr
 
 val output : t -> string -> scale:int -> expr -> unit
 
-(** Names of declared inputs in declaration order with their types. *)
-val declared_inputs : t -> (string * Ir.value_type) list
-
 (** The underlying program (shared, not copied). *)
 val program : t -> Ir.program
 

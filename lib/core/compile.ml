@@ -34,7 +34,7 @@ let batch_rotations c ~max_lanes =
   List.sort_uniq compare (go [] 2)
 
 let run ?(s_f = Passes.default_s_f) ?waterline ?(policy = Passes.Eva) ?(eager_relin = false)
-    ?(optimize = false) ?(vectorize = true) ?(batch = 1) input =
+    ?(optimize = false) ?(vectorize = true) ?batch:(lanes = 1) input =
   Validate.check_input_program input;
   let program = Ir.copy input in
   if optimize then Optimize.run program;
@@ -45,14 +45,7 @@ let run ?(s_f = Passes.default_s_f) ?waterline ?(policy = Passes.Eva) ?(eager_re
   Passes.transform ~s_f ?waterline ~policy ~eager_relin program;
   Validate.check_transformed ~s_f program;
   let params = Params.select ~s_f program in
-  let c = { program; params; policy; s_f; lanes = 1; packing } in
-  if batch = 1 then c
-  else
-    let program = Passes.batch ~lanes:batch c.program in
-    Validate.check_transformed ~s_f program;
-    Validate.check_batched ~lanes:batch program;
-    let params = Params.select ~s_f program in
-    { c with program; params; lanes = batch }
+  batch { program; params; policy; s_f; lanes = 1; packing } ~lanes
 
 let run_timed ?s_f ?waterline ?policy ?eager_relin ?optimize ?vectorize ?batch input =
   let t0 = Unix.gettimeofday () in

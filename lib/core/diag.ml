@@ -46,14 +46,6 @@ let crypto_missing_key = 604
 let crypto_context = 605
 let crypto_security = 606
 
-let layer_name = function
-  | Parse -> "parse"
-  | Validate -> "validate"
-  | Compile -> "compile"
-  | Wire -> "wire"
-  | Execute -> "execute"
-  | Crypto -> "crypto"
-
 let layer_of_code code =
   match code / 100 with
   | 1 -> Parse

@@ -125,8 +125,6 @@ val error :
   ?node_id:int -> ?op:string -> ?pos:int * int -> layer:layer -> code:int ->
   ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val layer_name : layer -> string
-
 (** The layer a code belongs to (by its hundreds digit). *)
 val layer_of_code : int -> layer
 

@@ -158,17 +158,14 @@ let parallel_map ~workers f items =
     Array.to_list (Array.map Option.get out)
   end
 
-(* Encode + encrypt the bound inputs. [lanes_of name] gives one
-   already-tiled lane vector per batch member (a single lane when
-   unbatched): cipher inputs encode all lanes in one strided plaintext,
-   plain inputs carry the interleaved vector. One lane is bit-identical
-   to a plain encode — [encode_strided] of one lane is [encode], and
-   [interleave] of one lane is a copy. Each Cipher input draws a private
-   RNG from [rng] up front (sequentially, so results are independent of
-   [workers]), then the per-input work runs on [workers] domains
-   (default: the recommended domain count). Returns the inputs and the
-   seconds spent. *)
-let encrypt_inputs ?workers ctx keyset rng ~lanes_of all_nodes =
+(* Encode + encrypt the bound inputs. [value_of name] gives the input's
+   full-width slot vector (lane-interleaved when batched): cipher inputs
+   encode and encrypt it at the top level, plain inputs carry it as is.
+   Each Cipher input draws a private RNG from [rng] up front
+   (sequentially, so results are independent of [workers]), then the
+   per-input work runs on [workers] domains (default: the recommended
+   domain count). Returns the inputs and the seconds spent. *)
+let encrypt_inputs ?workers ctx keyset rng ~value_of all_nodes =
   let workers = Option.value workers ~default:(Domain.recommended_domain_count ()) in
   let top_level = Ctx.chain_length ctx in
   let t0 = now () in
@@ -186,23 +183,60 @@ let encrypt_inputs ?workers ctx keyset rng ~lanes_of all_nodes =
   let inputs =
     parallel_map ~workers
       (fun (n, name, child) ->
-        let lanes = lanes_of name in
+        let v = value_of name in
         match child with
         | Some child_rng ->
-            let pt =
-              Eval.encode_strided ctx ~level:top_level ~scale:(Float.ldexp 1.0 n.Ir.decl_scale) lanes
-            in
+            let pt = Eval.encode ctx ~level:top_level ~scale:(Float.ldexp 1.0 n.Ir.decl_scale) v in
             (n.Ir.id, Ct (Eval.encrypt ctx keyset child_rng pt))
-        | None -> (n.Ir.id, Plain (interleave lanes)))
+        | None -> (n.Ir.id, Plain v))
       jobs
   in
   (inputs, now () -. t0)
 
-let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(extra_rotations = [])
-    compiled bindings =
-  let bindings = shim compiled bindings in
+(* The one input binder behind [prepare], [rebind] and [rebind_batched].
+   It re-aims [e] at [compiled] (its vector width and scale table; same
+   context, keys and, unless [reset_cache], plaintext cache), resolves
+   every member's bindings up front (each member's missing inputs raise
+   EVA-E501 before any encryption work), then encrypts with [rng]:
+   member [b] fills lane [b] of the program's [lanes] interleaved lanes
+   (vectors tiled or zero-padded to the lane width, scalars broadcast)
+   and lanes beyond the members are zero. An unbatched program has one
+   lane spanning the whole vector. *)
+let bind ?workers ~rng ~reset_cache e compiled members =
+  let members = Array.map (shim compiled) members in
   let p = compiled.Compile.program in
   let vs = p.Ir.vec_size in
+  let lanes = compiled.Compile.lanes in
+  let live = Array.length members in
+  if live = 0 || live > lanes then
+    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config "Executor: %d members for %d lanes" live
+      lanes;
+  if Ctx.slots e.ctx < vs then
+    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
+      "Executor: degree %d gives %d slots, too small for vector size %d" (Ctx.degree e.ctx)
+      (Ctx.slots e.ctx) vs;
+  let binding_fns = Array.map (binding_fn p) members in
+  let lane_size = vs / lanes in
+  let dead_lane = lazy (Array.make lane_size 0.0) in
+  let value_of name =
+    interleave
+      (Array.init lanes (fun b ->
+           if b < live then plain_of_binding lane_size (binding_fns.(b) name)
+           else Lazy.force dead_lane))
+  in
+  let inputs, encrypt_seconds = encrypt_inputs ?workers e.ctx e.keyset rng ~value_of p.Ir.all_nodes in
+  {
+    e with
+    vec_size = vs;
+    node_scales = Analysis.scales p;
+    inputs;
+    encrypt_seconds;
+    pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
+  }
+
+let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(extra_rotations = [])
+    compiled bindings =
+  let vs = compiled.Compile.program.Ir.vec_size in
   let params = compiled.Compile.params in
   let log_n = Option.value log_n ~default:params.Params.log_n in
   let rng = Random.State.make [| seed |] in
@@ -211,10 +245,6 @@ let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(ext
     Ctx.make ~ignore_security ~n:(1 lsl log_n) ~data_bits:params.Params.context_data_bits
       ~special_bits:params.Params.special_bits ()
   in
-  let slots = Ctx.slots ctx in
-  if slots < vs then
-    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
-      "Executor: degree %d gives %d slots, too small for vector size %d" (1 lsl log_n) slots vs;
   (* Ciphertexts are periodic in vec_size (inputs replicate), so any
      rotation step congruent mod vec_size acts identically; keys are
      generated for the same left-normalized steps the evaluator uses. *)
@@ -234,87 +264,38 @@ let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(ext
         (List.sort_uniq compare (List.map (Ctx.galois_elt_rotate ctx) extra_rotations))
   in
   let secret, keyset = Keys.generate ctx rng ~galois_elts in
-  let context_seconds = now () -. t0 in
-  let binding = binding_fn p bindings in
-  let lanes_of name = [| plain_of_binding vs (binding name) |] in
-  let inputs, encrypt_seconds =
-    encrypt_inputs ?workers:encrypt_workers ctx keyset rng ~lanes_of p.Ir.all_nodes
+  let keyed =
+    {
+      ctx;
+      secret;
+      keyset;
+      rng;
+      vec_size = vs;
+      node_scales = Hashtbl.create 0;
+      pt_cache = fresh_pt_cache ();
+      inputs = [];
+      context_seconds = now () -. t0;
+      encrypt_seconds = 0.0;
+    }
   in
-  {
-    ctx;
-    secret;
-    keyset;
-    rng;
-    vec_size = vs;
-    node_scales = Analysis.scales p;
-    pt_cache = fresh_pt_cache ();
-    inputs;
-    context_seconds;
-    encrypt_seconds;
-  }
+  bind ?workers:encrypt_workers ~rng ~reset_cache:false keyed compiled [| bindings |]
 
 let engine_context_seconds e = e.context_seconds
 let engine_encrypt_seconds e = e.encrypt_seconds
 let engine_degree e = Ctx.degree e.ctx
 
+(* With [seed] the fresh inputs are a pure function of (seed, bindings):
+   the engine's own RNG is not consulted, so concurrent rebinds from a
+   serving loop produce ciphertexts independent of interleaving. *)
 let rebind ?seed ?(reset_cache = true) ?encrypt_workers e compiled bindings =
-  let bindings = shim compiled bindings in
-  let p = compiled.Compile.program in
-  let vs = p.Ir.vec_size in
-  let binding = binding_fn p bindings in
-  (* With [seed] the fresh inputs are a pure function of (seed, bindings):
-     the engine's own RNG is not consulted, so concurrent rebinds from a
-     serving loop produce ciphertexts independent of interleaving. *)
   let rng = match seed with Some s -> Random.State.make [| s |] | None -> e.rng in
-  let lanes_of name = [| plain_of_binding vs (binding name) |] in
-  let inputs, encrypt_seconds =
-    encrypt_inputs ?workers:encrypt_workers e.ctx e.keyset rng ~lanes_of p.Ir.all_nodes
-  in
-  {
-    e with
-    inputs;
-    encrypt_seconds;
-    pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
-  }
+  bind ?workers:encrypt_workers ~rng ~reset_cache e compiled [| bindings |]
 
 let rebind_batched ?(reset_cache = false) ?encrypt_workers ~seeds e compiled members =
-  let members = Array.map (shim compiled) members in
-  let p = compiled.Compile.program in
-  let vs = p.Ir.vec_size in
-  let lanes = compiled.Compile.lanes in
-  let lane_size = vs / lanes in
-  let live = Array.length members in
-  if live = 0 || live > lanes then
+  if Array.length seeds <> Array.length members then
     Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
-      "Executor.rebind_batched: %d members for %d lanes" live lanes;
-  if Array.length seeds <> live then
-    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
-      "Executor.rebind_batched: %d seeds for %d members" (Array.length seeds) live;
-  (* Re-aim the engine at this variant: same context, keys and
-     plaintext cache, new width and scale table. *)
-  if Ctx.slots e.ctx < vs then
-    Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
-      "Executor.rebind_batched: %d slots cannot hold vector size %d" (Ctx.slots e.ctx) vs;
-  let e = { e with vec_size = vs; node_scales = Analysis.scales p } in
-  (* Validate every member's bindings up front (each report names its
-     member), so one bad request cannot poison batch preparation. *)
-  let binding_fns = Array.map (fun bs -> binding_fn p bs) members in
-  let dead_lane = lazy (Array.make lane_size 0.0) in
-  let lanes_of name =
-    Array.init lanes (fun b ->
-        if b < live then plain_of_binding lane_size (binding_fns.(b) name)
-        else Lazy.force dead_lane)
-  in
-  let inputs, encrypt_seconds =
-    encrypt_inputs ?workers:encrypt_workers e.ctx e.keyset (Random.State.make seeds) ~lanes_of
-      p.Ir.all_nodes
-  in
-  {
-    e with
-    inputs;
-    encrypt_seconds;
-    pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
-  }
+      "Executor.rebind_batched: %d seeds for %d members" (Array.length seeds) (Array.length members);
+  bind ?workers:encrypt_workers ~rng:(Random.State.make seeds) ~reset_cache e compiled members
 
 (* Slot-space rotation steps of [compiled] whose Galois keys the engine
    is missing — non-empty means [prepare] was not given the

@@ -55,17 +55,21 @@ type engine
     vectorization layout ([c.packing]), per-element bindings are first
     packed into the layout's block-major inputs
     ({!Vectorize.pack_bindings}) — callers written against the source
-    program's scalar names run unchanged. *)
+    program's scalar names run unchanged. The bindings are one member:
+    on a batched [c] they fill lane 0 and the other lanes are zero
+    ({!rebind_batched}). *)
 val prepare :
   ?seed:int -> ?ignore_security:bool -> ?log_n:int -> ?encrypt_workers:int ->
   ?extra_rotations:int list -> Compile.compiled -> (string * Reference.binding) list -> engine
 
-(** [rebind e c bindings] re-encrypts fresh inputs reusing the engine's
-    context and keys (amortizes key generation across many runs). With
-    [seed] the encryption randomness is drawn from a fresh
-    [Random.State] seeded with it instead of the engine's shared RNG, so
-    the derived engine is a pure function of (seed, bindings) — serving
-    loops use this to make concurrent request preparation deterministic.
+(** [rebind e c bindings] re-aims the engine at [c] (its vector width
+    and scale table; EVA-E508 if the context's slots cannot hold it) and
+    encrypts fresh inputs, reusing the engine's context and keys
+    (amortizes key generation across many runs). With [seed] the
+    encryption randomness is drawn from a fresh [Random.State] seeded
+    with it instead of the engine's shared RNG, so the derived engine is
+    a pure function of (seed, bindings) — serving loops use this to make
+    concurrent request preparation deterministic.
     [reset_cache] (default true) gives the derived engine a fresh
     plaintext-encode cache; pass [false] to share the parent's cache
     (and its counters), keeping it warm across requests. Applies the
@@ -93,14 +97,12 @@ val extract_lane : lanes:int -> lane:int -> float array -> float array
 (** [rebind_batched ~seeds e c members] is {!rebind} for a batched
     program [c]: member [b]'s bindings fill lane [b] (vectors tiled or
     zero-padded to the lane width per {!Reference.tile}, scalars
-    broadcast), lanes beyond [Array.length members] are zeroed, and the
-    whole batch encodes into strided plaintexts
-    ({!Eva_ckks.Eval.encode_strided}). [seeds] gives one seed per member
-    (the batch RNG is [Random.State.make seeds]); a 1-lane batch is
-    bit-identical to [rebind ~seed]. [reset_cache] defaults to [false]
-    (serving keeps the cache warm). The derived engine is re-aimed at [c]
-    (its vector width and scale table; EVA-E508 if the context's slots
-    cannot hold it) while keeping the context, keys and cache. Each member's
+    broadcast), lanes beyond [Array.length members] are zeroed, and each
+    input encodes as one plaintext of the interleaved lanes
+    ({!interleave}). [seeds] gives one seed per member (the batch RNG is
+    [Random.State.make seeds]); a 1-lane batch is bit-identical to
+    [rebind ~seed]. [reset_cache] defaults to [false] (serving keeps the
+    cache warm). Re-aims the engine at [c] like {!rebind}. Each member's
     bindings pass through the vectorization shim ({!prepare})
     independently; each member's missing inputs raise EVA-E501 before
     any encryption work. *)

@@ -45,12 +45,6 @@ let add_node ?(decl_scale = 0) p op parms =
 
 let remove_use parent child = parent.uses <- List.filter (fun u -> u != child) parent.uses
 
-let remove_leaf p n =
-  if n.uses <> [] then invalid_arg "Ir.remove_leaf: node has uses";
-  Array.iter (fun parent -> remove_use parent n) n.parms;
-  n.parms <- [||];
-  p.all_nodes <- List.filter (fun m -> m != n) p.all_nodes
-
 (* The same parent may appear in several parameter slots; drop exactly one
    use edge. *)
 let drop_one_use parent child =
@@ -214,13 +208,3 @@ let op_name = function
   | Mod_switch -> "modswitch"
   | Rescale _ -> "rescale"
   | Output _ -> "output"
-
-let pp_op fmt op =
-  match op with
-  | Rotate_left k -> Format.fprintf fmt "rotate_left %d" k
-  | Rotate_right k -> Format.fprintf fmt "rotate_right %d" k
-  | Rescale k -> Format.fprintf fmt "rescale %d" k
-  | Output name -> Format.fprintf fmt "output %S" name
-  | Input (t, name) -> Format.fprintf fmt "input %s %S" (value_type_name t) name
-  | other -> Format.pp_print_string fmt (op_name other)
-

@@ -67,11 +67,6 @@ val insert_between :
 (** Remove nodes unreachable from outputs (used after rewrites). *)
 val prune : program -> unit
 
-(** [remove_leaf p n] physically unlinks a node with no uses (e.g. an
-    [Output] being replaced by a packed one) from its parents' use lists
-    and from the program. Raises [Invalid_argument] if [n] has uses. *)
-val remove_leaf : program -> node -> unit
-
 (** Deep copy (fresh nodes, same structure); the transformation passes
     mutate programs in place, so callers compiling one source under
     several policies copy first. [?vec_size] gives the copy a different
@@ -101,4 +96,3 @@ val node_count : program -> int
 val value_type_name : value_type -> string
 
 val op_name : op -> string
-val pp_op : Format.formatter -> op -> unit

@@ -53,12 +53,6 @@ val relinearize : Ir.program -> bool
     ciphertexts past size 3 on validated graphs. *)
 val lazy_relinearize : Ir.program -> bool
 
-(** [stride_expand ~lanes v] is the length [lanes * Array.length v]
-    array [v'] with [v'.(i * lanes + b) = v.(i)] — the plaintext image of
-    a vector under the interleaved slot-batching layout (every lane sees
-    the same constant). *)
-val stride_expand : lanes:int -> float array -> float array
-
 (** [batch ~lanes p] is a fresh program computing [lanes] independent
     copies of [p] in one ciphertext under the interleaved layout (request
     [b] owns slots [{i * lanes + b}]): [vec_size] is multiplied by

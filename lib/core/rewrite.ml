@@ -4,7 +4,6 @@ let run order p rule =
   !changed
 
 let forward p rule = run Ir.topological p rule
-let backward p rule = run Ir.reverse_topological p rule
 
 let until_quiescence ?(max_rounds = 100) passes =
   let rec go round =

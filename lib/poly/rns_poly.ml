@@ -163,7 +163,6 @@ let iter2_inplace op f a b =
       done)
 
 let add_inplace a b = iter2_inplace "add_inplace" Modarith.add a b
-let sub_inplace a b = iter2_inplace "sub_inplace" Modarith.sub a b
 
 let mul_acc acc a b =
   if not (acc.ntt && a.ntt && b.ntt) then invalid_arg "Rns_poly.mul_acc: NTT form required";

@@ -62,7 +62,6 @@ val neg : t -> t
 val mul : t -> t -> t
 
 val add_inplace : t -> t -> unit
-val sub_inplace : t -> t -> unit
 
 (** [mul_inplace a b] sets [a] to the pointwise product [a * b] (both
     NTT form). The caller must own [a]'s rows: in a dataflow executor a

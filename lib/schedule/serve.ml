@@ -36,7 +36,6 @@ type config = {
   queue_depth : int;  (** admission-queue bound; see submit *)
   pipeline : int;  (** worker domains; 0 = evaluate on the calling thread *)
   graph_workers : int;  (** Executor.run_graph workers per execution *)
-  encrypt_workers : int;  (** domains for per-request input encryption *)
   default_deadline_ms : int option;  (** applied when a request carries none *)
   max_request_retries : int;  (** request-level retries after worker death *)
   retry_budget : int;  (** daemon-wide pool of request-level retries *)
@@ -51,7 +50,6 @@ let default_config =
     queue_depth = 8;
     pipeline = 1;
     graph_workers = 1;
-    encrypt_workers = 1;
     default_deadline_ms = None;
     max_request_retries = 2;
     retry_budget = 64;
@@ -312,8 +310,7 @@ and execute t members =
     match
       Cancel.check token;
       let e =
-        Executor.rebind_batched ~seeds ~encrypt_workers:t.cfg.encrypt_workers t.engine v.vcompiled
-          bindings
+        Executor.rebind_batched ~seeds ~encrypt_workers:1 t.engine v.vcompiled bindings
       in
       Cancel.check token;
       let s =

@@ -45,7 +45,6 @@ type config = {
           right choice on a single-core host, where a second domain only
           adds runtime overhead. *)
   graph_workers : int;  (** [Executor.run_graph] workers per execution *)
-  encrypt_workers : int;  (** domains for per-request input encryption *)
   default_deadline_ms : int option;  (** applied when a request carries none *)
   max_request_retries : int;  (** request-level retries after worker death *)
   retry_budget : int;

@@ -191,21 +191,6 @@ let conv2d ctx img ~weights ~stride =
   let exprs = Groups.emit groups ctx ~scale:ctx.weight_scale img.exprs ~n_dst:(num_cts out_layout) in
   finish_kernel ctx { exprs; layout = out_layout }
 
-(* Sum x over [count] offsets of a fixed [step]; doubling when count is a
-   power of two. The non-power-of-two path rotates the same source
-   [count - 1] times, so its rotations form one hoist group. *)
-let sum_offsets ctx x ~count ~step =
-  if count = 1 then x
-  else if count land (count - 1) = 0 then
-    Eva_core.Simd.rotate_and_sum ~add:B.add ~rotate:(rotate_shared ctx) ~count ~step x
-  else begin
-    let acc = ref x in
-    for t = 1 to count - 1 do
-      acc := B.add !acc (rotate_shared ctx x (t * step))
-    done;
-    !acc
-  end
-
 let pool_general ctx img ~kh ~kw =
   let l = img.layout in
   if l.height mod kh <> 0 || l.width mod kw <> 0 then invalid_arg "Kernels.avg_pool: size must divide";
@@ -213,10 +198,11 @@ let pool_general ctx img ~kh ~kw =
   let out_layout = { l with height = oh; width = ow; si = l.si * kh; sj = l.sj * kw } in
   let vs = vec_size ctx in
   let inv = 1.0 /. float_of_int (kh * kw) in
+  let sum_offsets = Eva_core.Simd.sum_offsets ~add:B.add ~rotate:(rotate_shared ctx) in
   let exprs =
     Array.mapi
       (fun t x ->
-        let summed = sum_offsets ctx (sum_offsets ctx x ~count:kw ~step:l.sj) ~count:kh ~step:(l.si * l.gw) in
+        let summed = sum_offsets ~count:kh ~step:(l.si * l.gw) (sum_offsets ~count:kw ~step:l.sj x) in
         (* Average factor and garbage suppression in one mask. *)
         let mask = Array.make vs 0.0 in
         let ch_lo = t * l.cpc and ch_hi = min l.channels ((t + 1) * l.cpc) - 1 in

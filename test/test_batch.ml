@@ -27,11 +27,7 @@ module Executor = Eva_core.Executor
 module Serve = Eva_schedule.Serve
 module Fault = Eva_schedule.Fault
 module Wire = Eva_ckks.Wire
-module Ctx = Eva_ckks.Context
-module Eval = Eva_ckks.Eval
 module Diag = Eva_diag.Diag
-module Kernels = Eva_tensor.Kernels
-module Layout = Eva_tensor.Layout
 
 let vs = 16
 
@@ -142,19 +138,6 @@ let prop_batched_reference_bit_identical =
             [ 1; 2; 7; 8 ])
         [ source_shallow (); source_deep () ];
       true)
-
-(* The strided encoder is literally the interleaved encoder. *)
-let test_encode_strided_matches_interleaved () =
-  let ctx = Ctx.make ~ignore_security:true ~n:64 ~data_bits:[ 60; 40 ] ~special_bits:[ 60 ] () in
-  let lanes = Array.init 4 (fun b -> Array.init 8 (fun i -> float_of_int ((10 * b) + i) /. 16.0)) in
-  let scale = Float.ldexp 1.0 30 in
-  let a = Ctx.decode ctx ~scale (Ctx.encode_strided ctx ~level:1 ~scale lanes) in
-  let b = Ctx.decode ctx ~scale (Ctx.encode ctx ~level:1 ~scale (Executor.interleave lanes)) in
-  Array.iteri
-    (fun i x -> if x <> b.(i) then Alcotest.failf "slot %d: %h vs %h" i x b.(i))
-    a;
-  let pt = Eval.encode_strided ctx ~level:1 ~scale lanes in
-  Alcotest.(check int) "level" 1 pt.Eval.pt_level
 
 (* Widths, steps and constants that cannot be a lane-local batch are
    refused as EVA-E207 — and Passes.batch's own output always passes. *)
@@ -367,58 +350,6 @@ let test_start_fails_fast_without_batch_keys () =
         in
         contains "batch_rotations")
 
-(* -------------------------------------------------------------------- *)
-(* Layout plumbing and homomorphic lane fans                             *)
-(* -------------------------------------------------------------------- *)
-
-let test_layout_roundtrip () =
-  let lay = Layout.make ~lanes:4 ~lane_size:4 in
-  Alcotest.(check int) "vec_size" 16 (Layout.vec_size lay);
-  Alcotest.(check int) "slot" 9 (Layout.slot lay ~lane:1 2);
-  Alcotest.(check int) "rewrite_step" 12 (Layout.rewrite_step lay 3);
-  let members = Array.init 4 (fun l -> Array.init 4 (fun i -> float_of_int ((10 * l) + i))) in
-  let v = Layout.interleave lay members in
-  Array.iteri
-    (fun l m -> Alcotest.(check (array (float 0.0))) "scatter inverts interleave" m (Layout.scatter lay ~lane:l v))
-    members;
-  let m = Layout.lane_mask ~len:2 lay ~lane:1 in
-  Alcotest.(check (float 0.0)) "mask hits lane 1 slot 0" 1.0 m.(1);
-  Alcotest.(check (float 0.0)) "mask hits lane 1 slot 1" 1.0 m.(5);
-  Alcotest.(check (float 0.0)) "mask stops at len" 0.0 m.(9);
-  Alcotest.(check (float 0.0)) "mask avoids lane 0" 0.0 m.(0);
-  let masked = Layout.apply_mask ~len:2 lay ~lane:1 v in
-  Alcotest.(check (float 0.0)) "kept" members.(1).(0) masked.(1);
-  Alcotest.(check (float 0.0)) "zeroed" 0.0 masked.(2)
-
-(* The fans evaluate correctly under reference semantics: replicate
-   broadcasts one lane everywhere; permute routes lanes by the map. *)
-let test_layout_fans_reference_exact () =
-  let b = B.create ~vec_size:16 () in
-  let ctx = Kernels.make_ctx ~mode:`Eva ~weight_scale:30 ~cipher_scale:30 b in
-  let lay = Layout.make ~lanes:4 ~lane_size:4 in
-  let x = B.input b ~scale:30 "x" in
-  B.output b "rep" ~scale:30 (Layout.replicate_lane ctx lay ~lane:2 x);
-  B.output b "perm" ~scale:30 (Layout.permute ctx lay [| 1; 0; 3; 2 |] x);
-  let members = Array.init 4 (fun l -> Array.init 4 (fun i -> float_of_int ((10 * l) + i))) in
-  let out =
-    Reference.execute (B.program b) [ ("x", Reference.Vec (Layout.interleave lay members)) ]
-  in
-  let rep = List.assoc "rep" out in
-  for l = 0 to 3 do
-    Alcotest.(check (array (float 0.0)))
-      (Printf.sprintf "lane %d replicated" l)
-      members.(2)
-      (Layout.scatter lay ~lane:l rep)
-  done;
-  let perm = List.assoc "perm" out in
-  Array.iteri
-    (fun dst src ->
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "lane %d <- lane %d" dst src)
-        members.(src)
-        (Layout.scatter lay ~lane:dst perm))
-    [| 1; 0; 3; 2 |]
-
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "batch"
@@ -426,8 +357,6 @@ let () =
       ( "rewrite exactness",
         [
           qt prop_batched_reference_bit_identical;
-          Alcotest.test_case "strided encode = interleaved encode" `Quick
-            test_encode_strided_matches_interleaved;
           Alcotest.test_case "non-lane-local programs refused E207" `Quick
             test_check_batched_negative;
         ] );
@@ -452,11 +381,5 @@ let () =
             test_worker_death_mid_batch_dissolves;
           Alcotest.test_case "missing batch keys fail at start" `Quick
             test_start_fails_fast_without_batch_keys;
-        ] );
-      ( "layout",
-        [
-          Alcotest.test_case "interleave/scatter/mask plumbing" `Quick test_layout_roundtrip;
-          Alcotest.test_case "replicate/permute fans reference-exact" `Quick
-            test_layout_fans_reference_exact;
         ] );
     ]

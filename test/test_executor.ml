@@ -301,6 +301,27 @@ let test_rebind_reuses_keys () =
   let expect1 = Reference.execute (c.Compile.program) input1 in
   Alcotest.(check bool) "first input correct" true (Executor.max_abs_error out1 expect1 < 1e-3)
 
+(* [rebind] re-aims the engine at the program it is given: an engine
+   prepared for a width-8 program, rebound to the same shape at width
+   16, must answer all 16 slots and match the reference. *)
+let test_rebind_reaims_engine () =
+  let shifted_product vs =
+    let b = B.create ~vec_size:vs () in
+    let x = B.input b ~scale:30 "x" in
+    B.output b "out" ~scale:30 (B.rotate_left (B.mul x (B.const_scalar b ~scale:30 0.5)) 1);
+    Compile.run (B.program b)
+  in
+  let ca = shifted_product 8 and cb = shifted_product 16 in
+  let e =
+    Executor.prepare ~ignore_security:true ~log_n:10 ~extra_rotations:[ 1 ] ca
+      [ ("x", vec 8 (fun i -> float_of_int i /. 8.0)) ]
+  in
+  let input = [ ("x", vec 16 (fun i -> 1.0 -. (float_of_int i /. 16.0))) ] in
+  let out, _ = Executor.run_on (Executor.rebind ~seed:3 e cb input) cb in
+  Alcotest.(check int) "all 16 slots" 16 (Array.length (List.assoc "out" out));
+  let expect = Reference.execute cb.Compile.program input in
+  Alcotest.(check bool) "matches reference" true (Executor.max_abs_error out expect < 1e-3)
+
 let prop_random_end_to_end =
   QCheck2.Test.make ~name:"random programs: CKKS matches reference" ~count:15
     QCheck2.Gen.(int_range 0 100000)
@@ -355,6 +376,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "rebind reuses keys" `Quick test_rebind_reuses_keys;
+          Alcotest.test_case "rebind re-aims the engine" `Quick test_rebind_reaims_engine;
           Alcotest.test_case "missing input" `Quick test_missing_input;
           Alcotest.test_case "failure anchored to its node" `Quick test_failure_anchored_to_node;
           Alcotest.test_case "timings" `Quick test_timings_recorded;
