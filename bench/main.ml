@@ -1,6 +1,7 @@
 (* Benchmark harness regenerating every table and figure of the paper's
-   evaluation (Section 8). See DESIGN.md for the experiment index and
-   EXPERIMENTS.md for recorded paper-vs-measured results.
+   evaluation (Section 8), plus the two wall-clock gates `vectorize` and
+   `batch`. See DESIGN.md for the experiment index and EXPERIMENTS.md
+   for recorded paper-vs-measured results.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table6       # one experiment
@@ -519,436 +520,6 @@ let ablation () =
   Printf.printf "\nWithout RESCALE, log Q grows linearly in the number of multiplications\n(exponentially in depth) instead of linearly in depth.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Microbenchmarks (Bechamel)                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Microbenchmarks: scheme primitives (Bechamel)";
-  let open Bechamel in
-  let module Ctx = Eva_ckks.Context in
-  let module Keys = Eva_ckks.Keys in
-  let module Eval = Eva_ckks.Eval in
-  let log_n = 13 in
-  let ctx = Ctx.make ~ignore_security:true ~n:(1 lsl log_n) ~data_bits:[ 60; 60; 60; 60 ] ~special_bits:[ 60 ] () in
-  let rng = Random.State.make [| 11 |] in
-  let secret, ks = Keys.generate ctx rng ~galois_elts:[ Ctx.galois_elt_rotate ctx 1 ] in
-  let v = Array.init (Ctx.slots ctx) (fun i -> Float.sin (float_of_int i)) in
-  let scale = Float.ldexp 1.0 40 in
-  let pt = Eval.encode ctx ~level:4 ~scale v in
-  let ct = Eval.encrypt ctx ks rng pt in
-  let ct3 = Eval.multiply ct ct in
-  let tests =
-    [
-      Test.make ~name:"add" (Staged.stage (fun () -> ignore (Eval.add ct ct)));
-      Test.make ~name:"multiply" (Staged.stage (fun () -> ignore (Eval.multiply ct ct)));
-      Test.make ~name:"multiply_plain" (Staged.stage (fun () -> ignore (Eval.multiply_plain ct pt)));
-      Test.make ~name:"relinearize" (Staged.stage (fun () -> ignore (Eval.relinearize ctx ks ct3)));
-      Test.make ~name:"rescale" (Staged.stage (fun () -> ignore (Eval.rescale ctx ct)));
-      Test.make ~name:"rotate" (Staged.stage (fun () -> ignore (Eval.rotate ctx ks ct 1)));
-      Test.make ~name:"encode" (Staged.stage (fun () -> ignore (Eval.encode ctx ~level:4 ~scale v)));
-      Test.make ~name:"encrypt" (Staged.stage (fun () -> ignore (Eval.encrypt ctx ks rng pt)));
-      Test.make ~name:"decrypt" (Staged.stage (fun () -> ignore (Eval.decrypt ctx secret ct)));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 200) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "N = 2^%d, 4x60-bit chain + special (times per op):\n" log_n;
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-16s %10.3f ms\n" name (est /. 1e6)
-          | _ -> Printf.printf "  %-16s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Kernel microbenchmarks: the RNS hot path itself                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Set by `--max-batch N`: the serve experiment's cross-request slot
-   batching width (1 = unbatched, the historical configuration). *)
-let serve_max_batch = ref 1
-
-(* Residue-parallel scaling: every pooled kernel across pool sizes
-   {0, 1, 2, 4}, each result asserted bit-exact against the sequential
-   (pool 0) path before any timing. Acceptance target: >= 2.5x on the
-   key switch at N=2^13 with 4 pool workers vs 1 — reachable only when
-   the machine actually has >= 4 cores; the core count is printed so a
-   saturated measurement on a smaller container reads as what it is. *)
-let kernels_scaling () =
-  let module Ctx = Eva_ckks.Context in
-  let module Keys = Eva_ckks.Keys in
-  let module Rowvec = Eva_rns.Rowvec in
-  let module Rp = Eva_poly.Rns_poly in
-  let module Pool = Eva_pool.Pool in
-  let log_n = if !smoke then 8 else 13 in
-  let n = 1 lsl log_n in
-  Printf.printf "\nResidue scaling at N = 2^%d (3x60-bit chain + special):\n" log_n;
-  let ctx = Ctx.make ~ignore_security:true ~n ~data_bits:[ 60; 60; 60 ] ~special_bits:[ 60 ] () in
-  let rng = Random.State.make [| 29; log_n |] in
-  let _, ks = Keys.generate ctx rng ~galois_elts:[] in
-  let level = Ctx.chain_length ctx in
-  let tables = Ctx.tables_for_level ctx level in
-  let c = Rp.sample_uniform rng ~tables in
-  let g = Ctx.galois_elt_rotate ctx 1 in
-  let snapshot p = Array.map Rowvec.to_array (Rp.rows p) in
-  let restore_workers = Pool.workers () in
-  (* Each kernel returns a comparable snapshot of its result; pool size 0
-     defines the reference the other sizes must reproduce exactly. *)
-  let kernels_under_test =
-    [
-      ( "ntt_round_trip",
-        fun () ->
-          let w = Rp.copy c in
-          Rp.to_coeff w;
-          Rp.to_ntt w;
-          snapshot w );
-      ("decompose", fun () -> ignore (Keys.decompose ctx ~level c); [||]);
-      ( "apply",
-        let d = Keys.decompose ctx ~level c in
-        fun () ->
-          let d0, d1 = Keys.apply_decomposed ~galois:g ctx ks.Keys.relin d in
-          Array.append (snapshot d0) (snapshot d1) );
-      ("rescale", fun () -> snapshot (Rp.rescale_many c 1));
-      ( "key_switch",
-        fun () ->
-          let d0, d1 = Keys.switch ctx ks.Keys.relin ~level c in
-          Array.append (snapshot d0) (snapshot d1) );
-    ]
-  in
-  Pool.set_workers 0;
-  let reference = List.map (fun (name, f) -> (name, f ())) kernels_under_test in
-  let time_best f =
-    let reps = if !smoke then 1 else 5 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  Printf.printf "  %-8s" "workers";
-  List.iter (fun (name, _) -> Printf.printf " | %14s" name) kernels_under_test;
-  Printf.printf "\n";
-  let timings = Hashtbl.create 16 in
-  List.iter
-    (fun w ->
-      Pool.set_workers w;
-      List.iter2
-        (fun (name, f) (_, expected) ->
-          let got = f () in
-          if got <> expected then
-            failwith
-              (Printf.sprintf "%s with %d pool workers diverges from the sequential result" name w))
-        kernels_under_test reference;
-      Printf.printf "  %-8d" w;
-      List.iter
-        (fun (name, f) ->
-          let t = time_best f in
-          Hashtbl.replace timings (name, w) t;
-          Printf.printf " | %11.2f ms" (t *. 1e3))
-        kernels_under_test;
-      Printf.printf "\n")
-    [ 0; 1; 2; 4 ];
-  Pool.set_workers restore_workers;
-  let t1 = Hashtbl.find timings ("key_switch", 1) and t4 = Hashtbl.find timings ("key_switch", 4) in
-  Printf.printf "\nAll pooled kernels bit-exact across pool sizes {0, 1, 2, 4}.\n";
-  Printf.printf
-    "Acceptance: key switch at 4 workers vs 1 is %.2fx (target >= 2.5x on a >= 4-core machine;\nthis machine reports %d usable core(s): measured speedup saturates there).\n"
-    (t1 /. t4)
-    (Domain.recommended_domain_count ())
-
-let kernels () =
-  header "Kernel microbenchmarks: NTT, pointwise mul, key switch (ns/op, minor words/op)";
-  let module Ctx = Eva_ckks.Context in
-  let module Keys = Eva_ckks.Keys in
-  let module Ntt = Eva_rns.Ntt in
-  let module Primes = Eva_rns.Primes in
-  let module Rp = Eva_poly.Rns_poly in
-  Printf.printf
-    "Each kernel is timed over enough iterations for ~0.2s of work;\n\
-     'words' is Gc minor words allocated per op (allocation discipline\n\
-     target: in-place kernels allocate nothing).\n";
-  let time_one ?(budget = 0.2) f =
-    (* One warm-up call doubles as calibration. *)
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let once = Unix.gettimeofday () -. t0 in
-    let iters = if !smoke then 1 else max 1 (min 2000 (int_of_float (budget /. Float.max once 1e-7))) in
-    (* allocated_bytes counts minor + major allocation, so arrays larger
-       than the minor-heap cutoff (every row at bench sizes) are seen. *)
-    let w0 = Gc.allocated_bytes () in
-    let t1 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t1 in
-    let dw = (Gc.allocated_bytes () -. w0) /. 8.0 in
-    (dt /. float_of_int iters, dw /. float_of_int iters)
-  in
-  let report name (secs, words) = Printf.printf "  %-22s %14.0f ns/op %12.0f words/op\n" name (secs *. 1e9) words in
-  let log_ns = if !smoke then [ 8 ] else [ 12; 13; 14; 15 ] in
-  List.iter
-    (fun log_n ->
-      let n = 1 lsl log_n in
-      Printf.printf "\nN = 2^%d:\n" log_n;
-      let st = Random.State.make [| 17; log_n |] in
-      (* Single-prime NTT at a full-width (30-bit) modulus. *)
-      let p = Primes.gen ~bits:30 ~two_n:(2 * n) ~avoid:(fun _ -> false) in
-      let tb = Ntt.make ~n p in
-      let buf = Eva_rns.Rowvec.init n (fun _ -> Random.State.int st p) in
-      report "ntt_forward" (time_one (fun () -> Ntt.forward tb buf));
-      report "ntt_inverse" (time_one (fun () -> Ntt.inverse tb buf));
-      (* Pointwise product over a 3-prime chain (functional and in the
-         accumulating form the evaluator uses). *)
-      let tables =
-        Array.of_list (List.map (fun p -> Ntt.make ~n p) (Primes.gen_chain ~bit_sizes:[ 30; 30; 30 ] ~two_n:(2 * n)))
-      in
-      let a = Rp.sample_uniform st ~tables and b = Rp.sample_uniform st ~tables in
-      let acc = Rp.zero ~tables in
-      report "pointwise_mul r=3" (time_one (fun () -> ignore (Rp.mul a b)));
-      report "pointwise_mul_acc r=3" (time_one (fun () -> Rp.mul_acc acc a b));
-      (* Key switch (relinearization-shaped): 3x60-bit data chain. *)
-      let ctx = Ctx.make ~ignore_security:true ~n ~data_bits:[ 60; 60; 60 ] ~special_bits:[ 60 ] () in
-      let rng = Random.State.make [| 23; log_n |] in
-      let _, ks = Keys.generate ctx rng ~galois_elts:[] in
-      let level = Ctx.chain_length ctx in
-      let c = Rp.sample_uniform rng ~tables:(Ctx.tables_for_level ctx level) in
-      report "key_switch r=6+2"
-        (time_one ~budget:0.4 (fun () -> ignore (Keys.switch ctx ks.Keys.relin ~level c)));
-      (* Hoisted split: decompose is the hoistable prefix, apply the
-         per-key suffix. Allocation discipline target: apply reuses the
-         decomposition's scratch, so its words/op stay flat in the digit
-         count (no per-apply digit re-extraction). *)
-      report "ks_decompose" (time_one ~budget:0.4 (fun () -> ignore (Keys.decompose ctx ~level c)));
-      let d = Keys.decompose ctx ~level c in
-      let g = Ctx.galois_elt_rotate ctx 1 in
-      report "ks_apply (galois)"
-        (time_one ~budget:0.4 (fun () -> ignore (Keys.apply_decomposed ~galois:g ctx ks.Keys.relin d)));
-      (* Allocation budget: residue rows moved off the OCaml heap
-         (Bigarray), so GC-visible words per op must stay bounded by the
-         remaining scratch — the Garner digit buffer (n words per
-         decompose) plus fixed-size bookkeeping. A re-boxing regression
-         (per-element or per-row OCaml arrays creeping back into the hot
-         path) blows through this immediately. *)
-      let budget_switch = float_of_int (8 * n) +. 65536.0 in
-      let _, w_switch =
-        time_one ~budget:0.2 (fun () -> ignore (Keys.switch ctx ks.Keys.relin ~level c))
-      in
-      let _, w_mul = time_one (fun () -> ignore (Rp.mul a b)) in
-      let budget_mul = 4096.0 in
-      if w_switch > budget_switch then
-        failwith
-          (Printf.sprintf "key_switch words/op %.0f exceeds budget %.0f at N=2^%d" w_switch
-             budget_switch log_n);
-      if w_mul > budget_mul then
-        failwith
-          (Printf.sprintf "pointwise_mul words/op %.0f exceeds budget %.0f at N=2^%d" w_mul
-             budget_mul log_n);
-      Printf.printf "  words/op budgets ok (key_switch %.0f <= %.0f, mul %.0f <= %.0f)\n" w_switch
-        budget_switch w_mul budget_mul)
-    log_ns;
-  kernels_scaling ()
-
-(* ------------------------------------------------------------------ *)
-(* Hoisted rotations: decompose once, rotate many                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Halevi-Shoup hoisting: k rotations of one ciphertext share a single
-   digit decomposition, so the per-rotation marginal cost drops from
-   decompose + apply to apply alone. This experiment measures the naive
-   loop (k independent Eval.rotate calls) against Eval.rotate_hoisted
-   for growing k, checks bit-exactness on every run, and reports the
-   speedup the RotateMany executor path realizes. Acceptance target:
-   >= 1.5x at k = 16, N = 2^12. *)
-let rotations () =
-  header "Hoisted rotations: naive k x rotate vs decompose-once (measured)";
-  let module Ctx = Eva_ckks.Context in
-  let module Keys = Eva_ckks.Keys in
-  let module Eval = Eva_ckks.Eval in
-  let module Rp = Eva_poly.Rns_poly in
-  let log_n = if !smoke then 8 else 12 in
-  let n = 1 lsl log_n in
-  let ctx = Ctx.make ~ignore_security:true ~n ~data_bits:[ 60; 60; 60 ] ~special_bits:[ 60 ] () in
-  let rng = Random.State.make [| 31; log_n |] in
-  let steps_all = List.init 16 (fun i -> i + 1) in
-  let galois_elts = List.map (Ctx.galois_elt_rotate ctx) steps_all in
-  let _, ks = Keys.generate ctx rng ~galois_elts in
-  let v = Array.init (Ctx.slots ctx) (fun i -> Float.sin (float_of_int i)) in
-  let pt = Eval.encode ctx ~level:(Ctx.chain_length ctx) ~scale:(Float.ldexp 1.0 40) v in
-  let ct = Eval.encrypt ctx ks rng pt in
-  (* Best-of-[reps]: the minimum rejects GC slices and scheduler noise,
-     which at container sizes dwarf the effect under measurement. *)
-  let time_loop reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  Printf.printf "N = 2^%d, 3x60-bit chain + special:\n" log_n;
-  Printf.printf "  %-6s | %10s | %10s | %7s\n" "k" "naive (ms)" "hoisted(ms)" "speedup";
-  let final_speedup = ref 0.0 in
-  List.iter
-    (fun k ->
-      let steps = List.filteri (fun i _ -> i < k) steps_all in
-      (* Bit-exactness first: the hoisted path must equal the sequential
-         rotations residue for residue. *)
-      let naive = List.map (fun s -> Eval.rotate ctx ks ct s) steps in
-      let hoisted = Eval.rotate_hoisted ctx ks ct steps in
-      List.iter2
-        (fun a b ->
-          assert (a.Eval.level = b.Eval.level && a.Eval.scale = b.Eval.scale);
-          Array.iteri
-            (fun i pa ->
-              Array.iteri (fun j row -> assert (row = (Rp.rows b.Eval.polys.(i)).(j))) (Rp.rows pa))
-            a.Eval.polys)
-        naive hoisted;
-      let reps = if !smoke then 1 else 5 in
-      (* warm-up, then quiesce the GC so a major slice triggered by the
-         bit-exactness check above is not billed to either side *)
-      ignore (Eval.rotate_hoisted ctx ks ct steps);
-      Gc.full_major ();
-      let t_naive = time_loop reps (fun () -> List.iter (fun s -> ignore (Eval.rotate ctx ks ct s)) steps) in
-      let t_hoisted = time_loop reps (fun () -> ignore (Eval.rotate_hoisted ctx ks ct steps)) in
-      let speedup = t_naive /. t_hoisted in
-      if k = 16 then final_speedup := speedup;
-      Printf.printf "  %-6d | %10.2f | %10.2f | %6.2fx\n" k (t_naive *. 1e3) (t_hoisted *. 1e3) speedup)
-    [ 1; 4; 16 ];
-  Printf.printf "\nAll hoisted outputs bit-exact vs sequential Eval.rotate.\n";
-  Printf.printf "Acceptance: speedup at k=16 is %.2fx (target >= 1.5x at N=2^12).\n" !final_speedup
-
-(* ------------------------------------------------------------------ *)
-(* Lazy relinearization: one key switch per reduction tree             *)
-(* ------------------------------------------------------------------ *)
-
-(* Addition commutes with relinearization, so the compiler's default
-   lazy placement carries size-3 ciphertexts through reduction trees and
-   relinearizes once at each dominance frontier; the paper's eager rule
-   (--eager-relin) pays one key switch per ciphertext multiply. This
-   experiment A/Bs both placements on the two shapes that matter — a
-   k-term dot product (k cipher x cipher multiplies into one
-   accumulator) and a conv layer with encrypted weights (one accumulator
-   per output ciphertext) — checking static and executed relin counts
-   and decrypt-accuracy parity against Reference on every run.
-   Acceptance target: k -> 1 relins on the k = 16 dot product and
-   >= 1.2x measured wall-clock speedup. *)
-let relin () =
-  header "Lazy relinearization: relin count and wall-clock, eager vs lazy";
-  let module K = Eva_tensor.Kernels in
-  let log_n = if !smoke then 8 else 12 in
-  let reps = if !smoke then 2 else 5 in
-  let time_loop reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let relins p = count p (function Ir.Relinearize -> true | _ -> false) in
-  let st = Random.State.make [| 47 |] in
-  let rand_vec n = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-  (* Measure one placement of one program: compile, check parity against
-     the reference semantics, then time the evaluation loop alone on a
-     prepared engine. Returns (static relins, executed relins, seconds). *)
-  let measure ~eager_relin p bindings =
-    (* This ablation is about relin placement on the naive accumulation
-       tree; keep auto-vectorization out so the counts stay k vs 1. *)
-    let c = Compile.run ~eager_relin ~vectorize:false p in
-    let engine = Executor.prepare ~seed:11 ~ignore_security:true ~log_n c bindings in
-    let outputs, _ = Executor.run_on engine c in
-    let err = Executor.max_abs_error outputs (Reference.execute p bindings) in
-    assert (err < 0.05);
-    let s = Executor.run_graph engine c in
-    Gc.full_major ();
-    let secs = time_loop reps (fun () -> ignore (Executor.run_graph engine c)) in
-    (relins c.Compile.program, s.Executor.op_counts.Executor.relinearizations, secs, err)
-  in
-  let report title p bindings =
-    Printf.printf "%s\n" title;
-    Printf.printf "  %-10s | %13s | %11s | %9s | %9s\n" "placement" "relins static" "relins run"
-      "time (ms)" "max err";
-    let se, re, te, ee = measure ~eager_relin:true p bindings in
-    let sl, rl, tl, el = measure ~eager_relin:false p bindings in
-    Printf.printf "  %-10s | %13d | %11d | %9.2f | %9.1e\n" "eager" se re (te *. 1e3) ee;
-    Printf.printf "  %-10s | %13d | %11d | %9.2f | %9.1e\n" "lazy" sl rl (tl *. 1e3) el;
-    Printf.printf "  speedup: %.2fx\n\n" (te /. tl);
-    ((se, sl), te /. tl)
-  in
-  (* k-term encrypted dot product: k = 16 pairwise products, balanced
-     add tree, one output. *)
-  let k = 16 in
-  let vs = 64 in
-  let b = B.create ~name:"dot16" ~vec_size:vs () in
-  let xs = Array.init k (fun i -> B.input b ~scale:30 (Printf.sprintf "x%d" i)) in
-  let ys = Array.init k (fun i -> B.input b ~scale:30 (Printf.sprintf "y%d" i)) in
-  B.output b "out" ~scale:30 (K.dot xs ys);
-  let dot_p = B.program b in
-  let dot_bindings =
-    List.init k (fun i -> (Printf.sprintf "x%d" i, Reference.Vec (rand_vec vs)))
-    @ List.init k (fun i -> (Printf.sprintf "y%d" i, Reference.Vec (rand_vec vs)))
-  in
-  let (dot_eager, dot_lazy), dot_speedup =
-    report
-      (Printf.sprintf "%d-term dot product (vec %d, N = 2^%d):" k vs log_n)
-      dot_p dot_bindings
-  in
-  (* Conv layer with encrypted weights: 2 -> 2 channels, 8x8 image, 3x3
-     taps. 36 cipher x cipher products accumulate into 2 output
-     ciphertexts, so lazy placement needs exactly 2 relins. *)
-  let channels = 2 and h = 8 and w = 8 and kk = 3 in
-  let b = B.create ~name:"convc" ~vec_size:vs () in
-  let kctx = K.make_ctx ~mode:`Eva ~weight_scale:30 ~cipher_scale:30 b in
-  let img = K.input_image kctx ~scale:30 ~name:"img" ~channels ~height:h ~width:w in
-  let wname o c di dj = Printf.sprintf "w_%d_%d_%d_%d" o c di dj in
-  let weights =
-    Array.init channels (fun o ->
-        Array.init channels (fun c ->
-            Array.init kk (fun di ->
-                Array.init kk (fun dj -> B.input b ~scale:30 (wname o c di dj)))))
-  in
-  let out = K.conv2d_cipher kctx img ~weights in
-  K.output_image kctx ~scale:30 ~name:"out" out;
-  let conv_p = B.program b in
-  let conv_bindings =
-    K.image_bindings ~vs ~layout:img.K.layout ~name:"img" (rand_vec (channels * h * w))
-    @ List.concat_map
-        (fun (o, c) ->
-          List.concat_map
-            (fun di ->
-              List.init kk (fun dj ->
-                  (wname o c di dj, Reference.Scal (Random.State.float st 1.0 -. 0.5))))
-            (List.init kk Fun.id))
-        (List.concat_map (fun o -> List.init channels (fun c -> (o, c))) (List.init channels Fun.id))
-  in
-  let (conv_eager, conv_lazy), conv_speedup =
-    report
-      (Printf.sprintf "conv2d_cipher %d->%d channels, %dx%d image, %dx%d taps (N = 2^%d):" channels
-         channels h w kk kk log_n)
-      conv_p conv_bindings
-  in
-  assert (dot_eager = k && dot_lazy = 1);
-  assert (conv_eager = channels * channels * kk * kk && conv_lazy = K.num_cts out.K.layout);
-  Printf.printf "Acceptance: dot-product relins %d -> %d (k = %d), speedup %.2fx (target >= 1.2x);\n"
-    dot_eager dot_lazy k dot_speedup;
-  Printf.printf "            conv relins %d -> %d, speedup %.2fx.\n" conv_eager conv_lazy conv_speedup
-
-(* ------------------------------------------------------------------ *)
 (* Auto-vectorization: naive scalar IR vs packed rotation trees        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1062,243 +633,14 @@ let vectorize_bench () =
     poly_packed poly_speedup
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection hook overhead                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel executor takes an optional fault-injection plan
-   (lib/schedule/fault.ml). The contract is that production runs pay
-   nothing for the hook: with [fault] absent no code runs, and even a
-   silent plan (Fault.none) costs one mutex-free match per instruction.
-   This experiment measures both against the same prepared engine. *)
-let faults () =
-  header "Fault-injection hook overhead (disabled hook must be free)";
-  let module Fault = Eva_schedule.Fault in
-  let b = B.create ~vec_size:64 () in
-  let x = B.input b ~scale:30 "x" in
-  (* A wide rotation fan joined pairwise: plenty of independent
-     instructions so the parallel scheduler is actually exercised. *)
-  let rots = List.init 16 (fun i -> B.rotate_left x (i + 1)) in
-  let rec join = function
-    | [] -> x
-    | [ v ] -> v
-    | a :: b :: rest -> join (rest @ [ B.add a b ])
-  in
-  let s = join rots in
-  B.output b "out" ~scale:30 (B.mul s s);
-  let c = Compile.run (B.program b) in
-  let bindings = [ ("x", Reference.Vec (Array.init 64 (fun i -> Float.sin (float_of_int i) /. 4.0))) ] in
-  let log_n = if !smoke then 10 else 12 in
-  let engine = Executor.prepare ~seed:7 ~ignore_security:true ~log_n c bindings in
-  let workers = 4 in
-  let reps = if !smoke then 2 else 20 in
-  (* One plan per run, as in serving (a plan's per-node retry budget is
-     plan-lifetime: reusing one across every rep would charge the whole
-     campaign's transient failures against a single 8-retry budget). *)
-  let time_run ?fault_for () =
-    let retries = ref 0 in
-    let run i =
-      let fault = Option.map (fun f -> f i) fault_for in
-      ignore (Parallel.execute_on ?fault ~workers engine c);
-      Option.iter (fun f -> retries := !retries + (Fault.counters f).Fault.retries) fault
-    in
-    (* warm-up *)
-    run 0;
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to reps do
-      run i
-    done;
-    ((Unix.gettimeofday () -. t0) /. float_of_int reps, !retries)
-  in
-  let off, _ = time_run () in
-  let silent, _ = time_run ~fault_for:(fun _ -> Fault.none ()) () in
-  let injected, inj_retries =
-    time_run
-      ~fault_for:(fun i ->
-        Fault.random ~max_retries:8 ~seed:(3 + i) ~death_p:0.0 ~fail_p:0.3 ~corrupt_p:0.0 ())
-      ()
-  in
-  Printf.printf "  %-34s %10.2f ms/run\n" "no fault hook" (off *. 1e3);
-  Printf.printf "  %-34s %10.2f ms/run  (%+.1f%% vs off)\n" "silent plan (Fault.none)" (silent *. 1e3)
-    (100.0 *. ((silent /. off) -. 1.0));
-  Printf.printf "  %-34s %10.2f ms/run  (%d retries injected)\n" "30% transient failures, retried"
-    (injected *. 1e3) inj_retries;
-  Printf.printf "\nDisabled-hook overhead target: ~0%% (one option match per instruction).\n"
-
-(* ------------------------------------------------------------------ *)
-(* Serving: compile-once/keygen-once daemon throughput                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The `evac serve` tier (lib/schedule/serve.ml): one compiled program,
-   one context + keyset, a warm plaintext-encode cache, many requests.
-   The workload is the SNIPPETS snippet-2 shape — an encrypted dot
-   product: a cipher query scored against a plaintext database row, the
-   row arriving as a plain input so every evaluation routes it through
-   the engine's encode cache; a small hot database cycled by the stream
-   is the >90% hit-rate regime.
-
-   The naive baseline is the stateless deployment this daemon replaces
-   (examples/client_server.ml, one session per request): each request
-   re-compiles the program, re-ships the session — serialize and
-   re-parse context + evaluation keys, rebuilding NTT tables — and
-   re-prepares executor state (context + keygen + encrypt) before
-   evaluating. The daemon pays compile/session/prepare once and streams
-   requests against the warm engine. Acceptance targets: >= 5x
-   requests/sec over naive, pt-cache hit rate > 90%. *)
-let serve_bench () =
-  header "Serving: compile-once/keygen-once daemon vs per-request cold start";
-  let module Serve = Eva_schedule.Serve in
-  let module Wire = Eva_ckks.Wire in
-  let module Ctx = Eva_ckks.Context in
-  let module Keys = Eva_ckks.Keys in
-  let vs = if !smoke then 64 else 1024 in
-  let log_n = if !smoke then 8 else 11 in
-  let requests = if !smoke then 12 else 96 in
-  let naive_requests = if !smoke then 3 else 6 in
-  let rows = 8 in
-  let b = B.create ~name:"retrieval" ~vec_size:vs () in
-  let q = B.input b ~scale:30 "q" in
-  let w = B.vector_input b ~scale:30 "w" in
-  B.output b "score" ~scale:30 (B.sum_slots b ~span:vs (B.mul q w));
-  let p = B.program b in
-  let st = Random.State.make [| 2026 |] in
-  let db = Array.init rows (fun _ -> Array.init vs (fun _ -> Random.State.float st 2.0 -. 1.0)) in
-  let query id = Array.init vs (fun i -> Float.sin (float_of_int (id + i))) in
-  let inputs id = [ ("q", query id); ("w", db.(id mod rows)) ] in
-  let expected id =
-    let q = query id and w = db.(id mod rows) in
-    let s = ref 0.0 in
-    Array.iteri (fun i x -> s := !s +. (x *. w.(i))) q;
-    !s
-  in
-  Printf.printf
-    "Encrypted dot product (snippet 2): cipher query x %d-row plaintext\ndatabase, vec %d, N = 2^%d; %d requests through the daemon, %d through\nthe naive per-request loop.\n\n"
-    rows vs log_n requests naive_requests;
-  (* The client's fixed session, built once: the naive server re-parses
-     it on every request, the daemon never sees it again. *)
-  let session_ctx, session_keys =
-    let c = Compile.run p in
-    let params = c.Compile.params in
-    let ctx =
-      Ctx.make ~ignore_security:true ~n:(1 lsl log_n) ~data_bits:params.Params.context_data_bits
-        ~special_bits:params.Params.special_bits ()
-    in
-    let rng = Random.State.make [| 2026 |] in
-    let galois_elts =
-      List.map
-        (fun s -> Ctx.galois_elt_rotate ctx (if s >= 0 then s else Ctx.slots ctx + s))
-        params.Params.rotations
-    in
-    let _, keys = Keys.generate ctx rng ~galois_elts in
-    (ctx, keys)
-  in
-  (* Naive loop: recompile, re-ship and re-parse the session, re-prepare
-     (context + keygen + encrypt — the simulator's executor regenerates
-     keys from the seed, standing in for ingesting the parsed ones),
-     evaluate, decrypt. *)
-  let t0 = Unix.gettimeofday () in
-  for id = 0 to naive_requests - 1 do
-    let c = Compile.run p in
-    let blob =
-      let buf = Buffer.create (1 lsl 20) in
-      Wire.write_context buf session_ctx;
-      Wire.write_eval_keys buf session_keys;
-      Buffer.contents buf
-    in
-    let pos = ref 0 in
-    let ctx' = Wire.read_context ~ignore_security:true blob ~pos in
-    let (_ : Keys.keyset) = Wire.read_eval_keys ctx' blob ~pos in
-    let bindings = List.map (fun (n, v) -> (n, Reference.Vec v)) (inputs id) in
-    let r = Executor.execute ~seed:(id + 1) ~ignore_security:true ~log_n c bindings in
-    let score = (List.assoc "score" r.Executor.outputs).(0) in
-    assert (Float.abs (score -. expected id) < 1e-2 *. (1.0 +. Float.abs (expected id)))
-  done;
-  let naive_rps = float_of_int naive_requests /. (Unix.gettimeofday () -. t0) in
-  let session_kib =
-    let buf = Buffer.create (1 lsl 20) in
-    Wire.write_context buf session_ctx;
-    Wire.write_eval_keys buf session_keys;
-    float_of_int (Buffer.length buf) /. 1024.0
-  in
-  (* The daemon: prepare once, stream requests through worker domains.
-     On a single-core container extra pipeline domains only contend, so
-     size the pool to the machine. *)
-  let c = Compile.run p in
-  let zero = [ ("q", Reference.Vec (Array.make vs 0.0)); ("w", Reference.Vec (Array.make vs 0.0)) ] in
-  (* Extra Galois keys for whatever batched variants fit the degree;
-     Serve.start clamps the effective width the same way. *)
-  let max_batch = max 1 !serve_max_batch in
-  let extra_rotations =
-    let slots = (1 lsl log_n) / 2 in
-    let rec widest l = if 2 * l <= max_batch && 2 * l * vs <= slots then widest (2 * l) else l in
-    if widest 1 > 1 then Compile.batch_rotations c ~max_lanes:(widest 1) else []
-  in
-  let engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n ~extra_rotations c zero in
-  let pipeline = max 0 (min 2 (Domain.recommended_domain_count () - 1)) in
-  let config =
-    {
-      Serve.default_config with
-      Serve.pipeline;
-      queue_depth = 8;
-      max_batch;
-      batch_linger_ms = (if max_batch > 1 then 1.0 else 0.0);
-    }
-  in
-  let results = Hashtbl.create requests in
-  let results_lock = Mutex.create () in
-  let respond (r : Wire.response) =
-    Mutex.lock results_lock;
-    Hashtbl.replace results r.Wire.resp_id r.Wire.payload;
-    Mutex.unlock results_lock
-  in
-  let t1 = Unix.gettimeofday () in
-  let daemon = Serve.start ~config ~respond c engine in
-  for id = 0 to requests - 1 do
-    Serve.submit daemon { Wire.req_id = id; deadline_ms = None; req_inputs = inputs id }
-  done;
-  let stats = Serve.drain daemon in
-  let serve_rps = float_of_int requests /. (Unix.gettimeofday () -. t1) in
-  for id = 0 to requests - 1 do
-    match Hashtbl.find results id with
-    | Ok outputs ->
-        assert (
-          Float.abs ((List.assoc "score" outputs).(0) -. expected id)
-          < 1e-2 *. (1.0 +. Float.abs (expected id)))
-    | Error d -> failwith (Eva_diag.Diag.to_string d)
-  done;
-  let lat = Serve.latencies_ms daemon in
-  Array.sort compare lat;
-  let pct p = lat.(min (Array.length lat - 1) (int_of_float (float_of_int (Array.length lat) *. p))) in
-  Printf.printf "  %-38s %10.2f req/s\n"
-    (Printf.sprintf "naive (recompile + %.0f KiB session)" session_kib)
-    naive_rps;
-  Printf.printf "  %-38s %10.2f req/s  (%.1fx)\n"
-    (Printf.sprintf "daemon (pipeline %d)" pipeline)
-    serve_rps (serve_rps /. naive_rps);
-  Printf.printf "  latency p50 %.1f ms, p99 %.1f ms (admission to response)\n" (pct 0.50) (pct 0.99);
-  Printf.printf
-    "  served %d, failed %d, fault retries %d, queue high-water %d,\n  pt-cache hit rate %.1f%% (%d hits, %d misses)\n"
-    stats.Serve.requests_served stats.Serve.requests_failed stats.Serve.faults_retried
-    stats.Serve.queue_high_water
-    (100.0 *. Serve.pt_hit_rate stats)
-    stats.Serve.pt_cache_hits stats.Serve.pt_cache_misses;
-  if max_batch > 1 then
-    Printf.printf
-      "  batching (max %d): %d executions (%.2f req/execution), slot utilization %.1f%%, dissolved %d\n"
-      max_batch stats.Serve.executions
-      (float_of_int stats.Serve.requests_served /. float_of_int (max 1 stats.Serve.executions))
-      (100.0 *. Serve.slot_utilization stats)
-      stats.Serve.batches_dissolved;
-  Printf.printf "\nAcceptance: daemon >= 5x naive req/s; pt-cache hit rate > 90%%\n(the %d-row database stays resident across %d requests).\n"
-    rows requests
-
-(* ------------------------------------------------------------------ *)
 (* Cross-request slot batching: B requests in one ciphertext           *)
 (* ------------------------------------------------------------------ *)
 
-(* The batching tentpole's acceptance experiment. The same retrieval
-   workload as the serve experiment, driven twice through identical
-   inline daemons (pipeline 0 so the measurement is pure evaluation, not
-   scheduling): once at max-batch 1, once at max-batch 8. An 8-wide
+(* The batching acceptance experiment. A retrieval workload (a cipher
+   query scored against a plaintext database row) is driven twice
+   through identical inline daemons (pipeline 0 so the measurement is
+   pure evaluation, not scheduling): once at max-batch 1, once at
+   max-batch 8. An 8-wide
    batch interleaves eight requests into one ciphertext and pays one
    evaluation for all of them — the homomorphic op count per execution
    is unchanged (lane-local rotations are just larger steps), so
@@ -1394,308 +736,6 @@ let batch_bench () =
   assert (p99_8 <= 1.5 *. p99_1)
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: graceful degradation under randomized adversity         *)
-(* ------------------------------------------------------------------ *)
-
-(* One daemon, a seeded storm of adversity: injected worker deaths and
-   transient failures, per-node delays, impossible and merely tight
-   deadlines, sustained overload with shedding enabled, then a wave of
-   hostile wire sessions (malformed payloads, corrupt and truncated
-   frames, clients that vanish before reading their responses, live
-   stats probes). The acceptance bar is the ISSUE's: the daemon never
-   crashes, every request is answered exactly once with either outputs
-   or a structured EVA-Exxx error, successful answers are bit-exact
-   against a sequential replay (and within tolerance of the plaintext
-   reference), shed work fails fast, and tail latency stays bounded. *)
-let chaos_bench () =
-  header "Chaos soak: randomized faults, storms and broken clients vs one daemon";
-  let module Serve = Eva_schedule.Serve in
-  let module Fault = Eva_schedule.Fault in
-  let module Wire = Eva_ckks.Wire in
-  let module Diag = Eva_diag.Diag in
-  (* Writes onto vanished clients must surface as EPIPE/Sys_error (which
-     the daemon contains), not as a fatal SIGPIPE. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let vs = 16 and log_n = 8 in
-  let n_requests = if !smoke then 300 else 10_000 in
-  let n_sessions = if !smoke then 30 else 200 in
-  let b = B.create ~name:"chaos" ~vec_size:vs () in
-  let x = B.input b ~scale:30 "x" in
-  let s = B.add (B.rotate_left x 1) (B.rotate_left x 2) in
-  B.output b "out" ~scale:30 (B.mul s s);
-  let p = B.program b in
-  let c = Compile.run p in
-  let zero = [ ("x", Reference.Vec (Array.make vs 0.0)) ] in
-  let engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n c zero in
-  let request_x id = Array.init vs (fun i -> Float.sin (float_of_int ((3 * id) + i)) /. 4.0) in
-  let reference_out id =
-    List.assoc "out" (Reference.execute c.Compile.program [ ("x", Reference.Vec (request_x id)) ])
-  in
-  let close_enough got want =
-    Array.for_all2 (fun g w -> Float.abs (g -. w) < 1e-2 *. (1.0 +. Float.abs w)) got want
-  in
-  let non_inputs =
-    List.filter_map
-      (fun n -> match n.Ir.op with Ir.Input _ -> None | _ -> Some n.Ir.id)
-      c.Compile.program.Ir.all_nodes
-  in
-  let st = Random.State.make [| 0xC4A05 |] in
-  let pick_nodes k =
-    List.filteri (fun i _ -> i < k) (List.sort (fun _ _ -> Random.State.int st 3 - 1) non_inputs)
-  in
-  (* The chaos schedule: each request id draws one adversity class. The
-     whole submission loop is itself a sustained overload burst (tight
-     loop against a bounded queue with shedding on). *)
-  let kind_of = Array.make n_requests `Clean in
-  let deadline_of = Array.make n_requests (Some 5000) in
-  let plans = Hashtbl.create 64 in
-  for id = 0 to n_requests - 1 do
-    let r = Random.State.float st 1.0 in
-    if r < 0.06 then begin
-      kind_of.(id) <- `Death;
-      Hashtbl.replace plans id (Fault.plan (List.map (fun n -> (n, [ Fault.Die ])) (pick_nodes 1)))
-    end
-    else if r < 0.12 then begin
-      kind_of.(id) <- `Flaky;
-      Hashtbl.replace plans id (Fault.plan (List.map (fun n -> (n, [ Fault.Fail ])) (pick_nodes 2)))
-    end
-    else if r < 0.18 then begin
-      kind_of.(id) <- `Slowed;
-      Hashtbl.replace plans id
-        (Fault.plan
-           (List.map
-              (fun n -> (n, [ Fault.Delay (0.0005 +. Random.State.float st 0.002) ]))
-              (pick_nodes 2)))
-    end
-    else if r < 0.23 then begin
-      (* Doomed: per-node delays that cannot fit the deadline — the
-         request must be cancelled mid-graph (or shed at admission once
-         the daemon has learned service times). *)
-      kind_of.(id) <- `Doomed;
-      deadline_of.(id) <- Some 25;
-      Hashtbl.replace plans id
-        (Fault.plan (List.map (fun n -> (n, [ Fault.Delay 0.02 ])) non_inputs))
-    end
-    else if r < 0.28 then begin
-      (* Deadline storm: 0ms can never be met; with shedding on, the
-         admission controller must refuse it before it costs anything. *)
-      kind_of.(id) <- `Storm;
-      deadline_of.(id) <- Some 0
-    end
-  done;
-  let retry_budget = max 4 (n_requests / 50) in
-  let config =
-    {
-      Serve.default_config with
-      Serve.pipeline = max 1 (min 2 (Domain.recommended_domain_count () - 1));
-      queue_depth = 8;
-      retry_budget;
-      shed = Serve.Watermarks { high = 6; low = 3 };
-    }
-  in
-  let results = Hashtbl.create n_requests in
-  let results_lock = Mutex.create () in
-  let answered = ref 0 in
-  let respond (r : Wire.response) =
-    Mutex.lock results_lock;
-    incr answered;
-    Hashtbl.replace results r.Wire.resp_id r.Wire.payload;
-    Mutex.unlock results_lock
-  in
-  let t0 = Unix.gettimeofday () in
-  let daemon = Serve.start ~config ~fault_for:(Hashtbl.find_opt plans) ~respond c engine in
-  for id = 0 to n_requests - 1 do
-    Serve.submit daemon
-      { Wire.req_id = id; deadline_ms = deadline_of.(id); req_inputs = [ ("x", request_x id) ] }
-  done;
-  let stats = Serve.drain daemon in
-  let soak_seconds = Unix.gettimeofday () -. t0 in
-  (* Exactly one answer per request, each either outputs or a structured
-     Execute-layer error. *)
-  assert (!answered = n_requests);
-  let count_code = Hashtbl.create 8 in
-  let bump code = Hashtbl.replace count_code code (1 + Option.value ~default:0 (Hashtbl.find_opt count_code code)) in
-  for id = 0 to n_requests - 1 do
-    match Hashtbl.find_opt results id with
-    | None -> failwith (Printf.sprintf "request %d never answered" id)
-    | Some (Ok outputs) ->
-        bump 0;
-        (* Every success is within tolerance of the plaintext reference. *)
-        if not (close_enough (List.assoc "out" outputs) (reference_out id)) then
-          failwith (Printf.sprintf "request %d answered outside tolerance" id)
-    | Some (Error d) ->
-        bump d.Diag.code;
-        if not (d.Diag.layer = Diag.Execute && d.Diag.code >= 500 && d.Diag.code < 510) then
-          failwith (Printf.sprintf "request %d: unstructured failure %s" id (Diag.to_string d))
-  done;
-  let n_of code = Option.value ~default:0 (Hashtbl.find_opt count_code code) in
-  let ok = n_of 0 in
-  (* Per-class outcomes: the only legal degradations are the designed
-     ones. Clean/flaky/slowed requests must succeed (graph-level retries
-     absorb Fail; their generous deadline cannot trip); deaths succeed
-     while the daemon-wide retry budget lasts and fail fast as EVA-E504
-     after; doomed requests are cancelled mid-graph (E505) or shed once
-     service times are learned (E509); storms are always shed. *)
-  Array.iteri
-    (fun id k ->
-      let payload = Hashtbl.find results id in
-      match (k, payload) with
-      | (`Clean | `Flaky | `Slowed), Ok _ -> ()
-      | (`Clean | `Flaky | `Slowed), Error d ->
-          failwith (Printf.sprintf "request %d (benign) failed: %s" id (Diag.to_string d))
-      | `Death, (Ok _ | Error { Diag.code = 504; _ }) -> ()
-      | `Death, Error d ->
-          failwith (Printf.sprintf "request %d (death) failed oddly: %s" id (Diag.to_string d))
-      | `Doomed, Error { Diag.code = 505 | 509; _ } -> ()
-      | `Doomed, Ok _ -> failwith (Printf.sprintf "request %d (doomed) beat an impossible deadline" id)
-      | `Doomed, Error d ->
-          failwith (Printf.sprintf "request %d (doomed) failed oddly: %s" id (Diag.to_string d))
-      | `Storm, Error { Diag.code = 509; _ } -> ()
-      | `Storm, Ok _ -> failwith (Printf.sprintf "request %d (storm) admitted a 0ms deadline" id)
-      | `Storm, Error d ->
-          failwith (Printf.sprintf "request %d (storm) failed oddly: %s" id (Diag.to_string d)))
-    kind_of;
-  (* Bit-exact spot check of successes against the sequential replay
-     (every 37th success; the tolerance check above already covered all
-     of them against the plaintext reference). *)
-  let replay_engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n c zero in
-  let sampled = ref 0 in
-  for id = 0 to n_requests - 1 do
-    if id mod 37 = 0 then
-      match Hashtbl.find results id with
-      | Ok outputs ->
-          incr sampled;
-          let e =
-            Executor.rebind
-              ~seed:(Serve.request_seed config id)
-              ~reset_cache:false replay_engine c
-              [ ("x", Reference.Vec (request_x id)) ]
-          in
-          let expected, _ = Executor.run_on e c in
-          List.iter
-            (fun (name, v) ->
-              let w = List.assoc name expected in
-              Array.iteri
-                (fun i got ->
-                  if got <> w.(i) then
-                    failwith (Printf.sprintf "request %d: %s slot %d not bit-exact" id name i))
-                v)
-            outputs
-      | Error _ -> ()
-  done;
-  let lat = Serve.latencies_ms daemon in
-  Array.sort compare lat;
-  let pct p =
-    if Array.length lat = 0 then 0.0
-    else lat.(min (Array.length lat - 1) (int_of_float (float_of_int (Array.length lat) *. p)))
-  in
-  (* Tail latency stays bounded: shed work fails fast, cancellations
-     stop within one node, so p99 cannot balloon past queue * service. *)
-  assert (pct 0.99 < 750.0);
-  Printf.printf
-    "Soak: %d requests in %.1fs (%.0f req/s), pipeline %d, retry budget %d\n"
-    n_requests soak_seconds
-    (float_of_int n_requests /. soak_seconds)
-    config.Serve.pipeline retry_budget;
-  Printf.printf "  %-34s %6d\n" "answered Ok (bit-exact sampled)" ok;
-  Printf.printf "  %-34s %6d\n" "shed at admission (EVA-E509)" (n_of 509);
-  Printf.printf "  %-34s %6d\n" "cancelled on deadline (EVA-E505)" (n_of 505);
-  Printf.printf "  %-34s %6d\n" "worker-death fallout (EVA-E504)" (n_of 504);
-  Printf.printf "  retries granted %d (budget left %d), p50 %.1f ms, p99 %.1f ms, %d replay-verified\n"
-    stats.Serve.faults_retried stats.Serve.retry_budget_left (pct 0.50) (pct 0.99) !sampled;
-  assert (n_of 509 > 0);
-  assert (ok > 0);
-  (* ---- hostile wire sessions against the same warm engine ---------- *)
-  let frame payload = Printf.sprintf "frame %d\n%s" (String.length payload) payload in
-  let framed_request ~id ?deadline_ms xs =
-    frame (Wire.to_string (fun buf () -> Wire.write_request buf ~id ?deadline_ms xs) ())
-  in
-  let sessions_survived = ref 0 in
-  let wire_ok = ref 0 and wire_dropped = ref 0 and probes = ref 0 in
-  for session = 0 to n_sessions - 1 do
-    let base = 1_000_000 + (session * 100) in
-    (* Build a random stream: valid requests, malformed payloads, live
-       stats probes; possibly ending in a corrupt header or a mid-frame
-       client disconnect (truncated body). *)
-    let parts = Buffer.create 1024 in
-    let expect_ok = ref [] in
-    let terminal = ref false in
-    let n_parts = 2 + Random.State.int st 4 in
-    for j = 0 to n_parts - 1 do
-      if not !terminal then
-        let r = Random.State.float st 1.0 in
-        if r < 0.55 then begin
-          let id = base + j in
-          expect_ok := id :: !expect_ok;
-          Buffer.add_string parts (framed_request ~id [ ("x", request_x id) ])
-        end
-        else if r < 0.70 then Buffer.add_string parts (frame "these are not the droids")
-        else if r < 0.80 then begin
-          incr probes;
-          Buffer.add_string parts (frame Wire.stats_probe)
-        end
-        else if r < 0.90 then begin
-          Buffer.add_string parts "frame not-a-length\n";
-          terminal := true
-        end
-        else begin
-          (* Client vanishes mid-frame: header promises more bytes than
-             ever arrive. *)
-          Buffer.add_string parts "frame 4096\ntruncated";
-          terminal := true
-        end
-    done;
-    let vanish_reader = session mod 7 = 3 in
-    let req_read, req_write = Unix.pipe () in
-    let resp_read, resp_write = Unix.pipe () in
-    let feeder = Unix.out_channel_of_descr req_write in
-    output_string feeder (Buffer.contents parts);
-    close_out feeder;
-    if vanish_reader then Unix.close resp_read;
-    let ic = Unix.in_channel_of_descr req_read in
-    let oc = Unix.out_channel_of_descr resp_write in
-    let wire_config = { config with Serve.pipeline = 0 } in
-    let session_stats = Serve.run_channels ~config:wire_config c engine ic oc in
-    incr sessions_survived;
-    wire_dropped := !wire_dropped + session_stats.Serve.responses_dropped;
-    (try close_out oc with _ -> ());
-    close_in ic;
-    if not vanish_reader then begin
-      let ic2 = Unix.in_channel_of_descr resp_read in
-      let rec read acc =
-        match Wire.read_frame ic2 with None -> List.rev acc | Some x -> read (x :: acc)
-      in
-      let frames = read [] in
-      close_in ic2;
-      let is_stats x = String.length x >= 6 && String.sub x 0 6 = "stats " in
-      List.iter (fun x -> if is_stats x then ignore (Wire.read_stats x ~pos:(ref 0))) frames;
-      let responses =
-        List.filter_map
-          (fun x -> if is_stats x then None else Some (Wire.read_response x ~pos:(ref 0)))
-          frames
-      in
-      List.iter
-        (fun id ->
-          match List.find_opt (fun (r : Wire.response) -> r.Wire.resp_id = id) responses with
-          | Some { Wire.payload = Ok outputs; _ } ->
-              incr wire_ok;
-              if not (close_enough (List.assoc "out" outputs) (reference_out id)) then
-                failwith (Printf.sprintf "wire request %d outside tolerance" id)
-          | Some { Wire.payload = Error d; _ } ->
-              failwith (Printf.sprintf "wire request %d failed: %s" id (Diag.to_string d))
-          | None -> failwith (Printf.sprintf "wire request %d never answered" id))
-        !expect_ok
-    end
-  done;
-  Printf.printf
-    "Wire chaos: %d/%d hostile sessions survived; %d valid requests answered Ok,\n%d stats probes, %d responses dropped on vanished readers\n"
-    !sessions_survived n_sessions !wire_ok !probes !wire_dropped;
-  assert (!sessions_survived = n_sessions);
-  Printf.printf
-    "\nAcceptance: 0 daemon crashes across %d soak requests + %d hostile sessions;\nevery answer structured (EVA-E504/E505/E509 or Ok), Ok bit-exact vs replay,\np99 %.1f ms bounded.\n"
-    n_requests n_sessions (pct 0.99)
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1710,15 +750,8 @@ let experiments =
     ("figure7", figure7);
     ("figure9", figure9);
     ("ablation", ablation);
-    ("micro", micro);
-    ("kernels", kernels);
-    ("rotations", rotations);
-    ("relin", relin);
     ("vectorize", vectorize_bench);
-    ("faults", faults);
-    ("serve", serve_bench);
     ("batch", batch_bench);
-    ("chaos", chaos_bench);
   ]
 
 (* Every experiment reports its wall time in one uniform `name: X.Xs`
@@ -1733,8 +766,7 @@ let () =
   smoke := List.mem "--smoke" args;
   let args = List.filter (fun a -> a <> "--smoke") args in
   (* `--pool-workers N` sizes the shared kernel pool for every
-     experiment (the kernels scaling section still sweeps its own
-     sizes and restores this value afterwards). *)
+     experiment. *)
   let args =
     let rec strip = function
       | "--pool-workers" :: v :: rest ->
@@ -1742,13 +774,6 @@ let () =
           | Some w when w >= 0 -> Eva_pool.Pool.set_workers w
           | _ ->
               Printf.eprintf "--pool-workers expects a non-negative integer, got %S\n" v;
-              exit 1);
-          strip rest
-      | "--max-batch" :: v :: rest ->
-          (match int_of_string_opt v with
-          | Some w when w >= 1 -> serve_max_batch := w
-          | _ ->
-              Printf.eprintf "--max-batch expects a positive integer, got %S\n" v;
               exit 1);
           strip rest
       | a :: rest -> a :: strip rest

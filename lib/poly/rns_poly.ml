@@ -36,10 +36,6 @@ let for_rows t f =
         f i
       done)
 
-let of_coeff_residues ~tables rows =
-  if Array.length rows <> Array.length tables then invalid_arg "Rns_poly.of_coeff_residues: arity";
-  { tables; rows; ntt = false }
-
 let of_bigint_coeffs ~tables coeffs =
   let n = Ntt.size tables.(0) in
   if Array.length coeffs <> n then invalid_arg "Rns_poly.of_bigint_coeffs: wrong degree";
@@ -66,10 +62,6 @@ let copy t =
   let rows = alloc_rows ~tables:t.tables in
   Array.iteri (fun i dst -> Rowvec.blit t.rows.(i) dst) rows;
   { t with rows }
-
-let coeff_row t i =
-  if t.ntt then invalid_arg "Rns_poly.coeff_row: polynomial is in NTT form";
-  t.rows.(i)
 
 let to_ntt t =
   if not t.ntt then begin

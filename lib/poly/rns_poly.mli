@@ -22,10 +22,6 @@ exception Modulus_mismatch of string
 (** [zero ~tables] in evaluation form. *)
 val zero : tables:Eva_rns.Ntt.table array -> t
 
-(** [of_coeff_residues ~tables rows] takes ownership of [rows] (one
-    residue row per prime, coefficient form). *)
-val of_coeff_residues : tables:Eva_rns.Ntt.table array -> Eva_rns.Rowvec.t array -> t
-
 (** [of_bigint_coeffs ~tables c] reduces each signed big-integer coefficient
     into every prime's residue field (coefficient form). *)
 val of_bigint_coeffs : tables:Eva_rns.Ntt.table array -> Eva_bigint.Bigint.t array -> t
@@ -47,9 +43,6 @@ val is_ntt : t -> bool
 (** Deep copy into fresh contiguous storage (the copy owns its buffer
     even when the source rows were foreign views). *)
 val copy : t -> t
-
-(** Residue row for prime index [i]; coefficient form required. *)
-val coeff_row : t -> int -> Eva_rns.Rowvec.t
 
 val to_ntt : t -> unit
 val to_coeff : t -> unit

@@ -16,6 +16,19 @@ type result = {
   peak_live_values : int;  (** high-water mark of simultaneously stored values *)
 }
 
+(** [priority c] is the ready-list order of both executors, this one
+    and {!Serve}'s: each node's bottom level under [cost] (critical path
+    first, the order {!Makespan.simulate} models). [cost] defaults to
+    the analytic {!Cost} model at [log_n] (default: the compiled
+    parameters) and [hoist] (default true). Also returns the summed node
+    costs: the program's modeled sequential seconds. *)
+val priority :
+  ?cost:(Eva_core.Ir.node -> float) ->
+  ?log_n:int ->
+  ?hoist:bool ->
+  Eva_core.Compile.compiled ->
+  (Eva_core.Ir.node -> float) * float
+
 (** [execute_on ~workers engine c] evaluates an already-prepared engine
     (context, keys and encrypted inputs reused across calls) on
     [workers] domains, the caller's included. [cost] overrides the

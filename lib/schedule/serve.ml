@@ -432,19 +432,15 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
   let ctx_slots = Executor.engine_degree engine / 2 in
   let log_n = int_of_float (Float.round (Float.log2 (float_of_int (Executor.engine_degree engine)))) in
   (* The calibrated analytic model prices every variant once, at the
-     engine's actual ring degree: its bottom levels order the ready list
-     (critical path first, as in [Parallel.execute_on]), and the
-     width-1 total seeds the admission controller's service estimate,
-     which it blends with measured times. *)
+     engine's actual ring degree: it orders the ready list as in
+     [Parallel.execute_on], and the width-1 total seeds the admission
+     controller's service estimate, which it blends with measured
+     times. *)
   let priced l vcompiled =
-    let costs = Cost.program_costs ~log_n Cost.default_coefficients vcompiled in
-    let bottom =
-      Makespan.bottom_levels vcompiled.Compile.program ~cost:(fun n ->
-          Option.value (Hashtbl.find_opt costs n.Ir.id) ~default:0.0)
-    in
-    ({ lanes = l; vcompiled; priority = (fun n -> Hashtbl.find bottom n.Ir.id) }, costs)
+    let priority, work = Parallel.priority ~log_n vcompiled in
+    ({ lanes = l; vcompiled; priority }, work)
   in
-  let variants, costs =
+  let variants, est_model_s =
     (* Power-of-two batch widths up to [max_batch], clamped to what the
        engine's ciphertexts physically hold: lanes * vec_size slots. A
        max_batch past the slot capacity batches as wide as fits rather
@@ -476,7 +472,6 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
                  (String.concat ", " (List.map string_of_int missing))
                  eff_max_batch))
     variants;
-  let est_model_s = Hashtbl.fold (fun _ c acc -> acc +. c) costs 0.0 in
   let t =
     {
       cfg = config;

@@ -40,23 +40,6 @@ let fold_shapes net f acc =
   in
   acc
 
-let output_size net =
-  let c, h, w =
-    List.fold_left
-      (fun (c, h, w) layer ->
-        match layer with
-        | Conv { out_channels; stride; _ } -> (out_channels, (h + stride - 1) / stride, (w + stride - 1) / stride)
-        | Avg_pool k -> (c, h / k, w / k)
-        | Global_avg_pool -> (c, 1, 1)
-        | Restride | Square | Poly _ -> (c, h, w)
-        | Fc n -> (n, 1, 1))
-      (net.input_channels, net.input_height, net.input_width)
-      net.layers
-  in
-  c * h * w
-
-let rec next_pow2 k = if k land (k - 1) = 0 then k else next_pow2 (k + (k land -k))
-
 (* The vector must fit the largest physical grid. Pools and strided convs
    keep the grid of the preceding restride point; a Restride (or global
    pool, or FC) shrinks it to the current logical dimensions. *)
@@ -80,7 +63,7 @@ let vec_size net =
       (net.input_channels, net.input_height, net.input_width, net.input_height * net.input_width)
       net.layers
   in
-  next_pow2 !need
+  Eva_core.Simd.next_pow2 !need
 
 let random_weights net ~seed =
   let st = Random.State.make [| seed; 17 |] in

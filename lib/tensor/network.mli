@@ -37,9 +37,6 @@ val random_weights : t -> seed:int -> weights
 (** Plain (unencrypted) inference; input and output are CHW arrays. *)
 val infer_plain : t -> weights -> float array -> float array
 
-(** Output element count. *)
-val output_size : t -> int
-
 (** The vector size the lowered program uses. *)
 val vec_size : t -> int
 

@@ -234,6 +234,44 @@ let test_lazy_relin_dot () =
   Validate.check_transformed lazy_c.Compile.program;
   Validate.check_transformed eager_c.Compile.program
 
+(* Conv layer with encrypted weights, 2 -> 2 channels, 8x8 image, 3x3
+   taps: eager placement pays one relin per cipher x cipher product
+   (36), lazy one per output ciphertext, and both decrypt alike. *)
+let test_lazy_relin_conv_cipher () =
+  let module K = Eva_tensor.Kernels in
+  let module Executor = Eva_core.Executor in
+  let channels = 2 and h = 8 and w = 8 and kk = 3 and vs = 64 in
+  let b = B.create ~name:"convc" ~vec_size:vs () in
+  let kctx = K.make_ctx ~mode:`Eva ~weight_scale:30 ~cipher_scale:30 b in
+  let img = K.input_image kctx ~scale:30 ~name:"img" ~channels ~height:h ~width:w in
+  let taps = List.concat_map (fun o -> List.init channels (fun c -> (o, c))) (List.init channels Fun.id) in
+  let taps = List.concat_map (fun (o, c) -> List.init (kk * kk) (fun t -> (o, c, t / kk, t mod kk))) taps in
+  let wname (o, c, di, dj) = Printf.sprintf "w_%d_%d_%d_%d" o c di dj in
+  let weights =
+    Array.init channels (fun o ->
+        Array.init channels (fun c ->
+            Array.init kk (fun di -> Array.init kk (fun dj -> B.input b ~scale:30 (wname (o, c, di, dj))))))
+  in
+  let out = K.conv2d_cipher kctx img ~weights in
+  K.output_image kctx ~scale:30 ~name:"out" out;
+  let p = B.program b in
+  let st = Random.State.make [| 47 |] in
+  let bindings =
+    K.image_bindings ~vs ~layout:img.K.layout ~name:"img"
+      (Array.init (channels * h * w) (fun _ -> Random.State.float st 2.0 -. 1.0))
+    @ List.map (fun t -> (wname t, Reference.Scal (Random.State.float st 1.0 -. 0.5))) taps
+  in
+  let expect = Reference.execute p bindings in
+  let check ~eager_relin want =
+    let c = Compile.run ~eager_relin ~vectorize:false p in
+    Alcotest.(check int) (Printf.sprintf "relins (eager %b)" eager_relin) want (relins c.Compile.program);
+    let engine = Executor.prepare ~seed:11 ~ignore_security:true ~log_n:8 c bindings in
+    let err = Executor.max_abs_error (fst (Executor.run_on engine c)) expect in
+    Alcotest.(check bool) (Printf.sprintf "max err %.1e < 0.05" err) true (err < 0.05)
+  in
+  check ~eager_relin:true 36;
+  check ~eager_relin:false (K.num_cts out.K.layout)
+
 let test_lazy_relin_stops_at_rotate () =
   (* A rotation demands the canonical size, so the relin cannot sink
      past it — it lands between the product and the rotate. *)
@@ -431,6 +469,7 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_lazy_relin_idempotent;
           Alcotest.test_case "E206: size 3 into rotate" `Quick test_validate_size3_into_rotate;
           Alcotest.test_case "E206: size 3 into output" `Quick test_validate_size3_into_output;
+          Alcotest.test_case "cipher-weight conv: one relin per output ct" `Quick test_lazy_relin_conv_cipher;
         ] );
       ( "property",
         [ qt prop_compiled_validates; qt prop_levels_bounded_by_depth; qt prop_lazy_matches_eager_encrypted ]

@@ -195,6 +195,43 @@ let test_key_switch_pool_invariant () =
           check_rows "hoisted galois d1" w eg1 g1)
         pool_sizes)
 
+(* {2 Allocation budgets}
+
+   Residue rows live off the OCaml heap (Bigarray), so the GC-visible
+   words of one call stay bounded by the remaining scratch: the Garner
+   digit buffer (n words per decompose) plus fixed-size bookkeeping. A
+   re-boxing regression (per-element or per-row OCaml arrays back in
+   the hot path) blows through these at once. Measured on the ambient
+   pool (POOL_WORKERS) over one call after one warm-up call;
+   [Gc.allocated_bytes] counts minor and major allocation, so rows
+   above the minor-heap cutoff are seen. *)
+let words_of_one_call f =
+  f ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. b0) /. 8.0
+
+let test_allocation_budgets () =
+  List.iter
+    (fun log_n ->
+      let n = 1 lsl log_n in
+      let ctx = Ctx.make ~ignore_security:true ~n ~data_bits:[ 60; 60; 60 ] ~special_bits:[ 60 ] () in
+      let rng = Random.State.make [| 23; log_n |] in
+      let _, keys = Keys.generate ctx rng ~galois_elts:[] in
+      let level = Ctx.chain_length ctx in
+      let c = Rp.sample_uniform rng ~tables:(Ctx.tables_for_level ctx level) in
+      let tables = make_tables ~n [ 30; 30; 30 ] in
+      let a = random_poly rng ~tables and b = random_poly rng ~tables in
+      let check what budget f =
+        let words = words_of_one_call f in
+        if words > budget then
+          Alcotest.failf "%s at N=2^%d: %.0f words/op exceeds budget %.0f" what log_n words budget
+      in
+      check "key switch" (float_of_int (8 * n) +. 65536.0) (fun () ->
+          ignore (Keys.switch ctx keys.Keys.relin ~level c));
+      check "pointwise multiply" 4096.0 (fun () -> ignore (Rp.mul a b)))
+    [ 8; 12 ]
+
 (* {2 Composition with the graph executor}
 
    The executor's worker domains submit their kernel loops to the same
@@ -296,6 +333,7 @@ let () =
         [
           qt prop_kernels_pool_invariant;
           Alcotest.test_case "key switch pool-invariant" `Quick test_key_switch_pool_invariant;
+          Alcotest.test_case "words/op within allocation budgets" `Quick test_allocation_budgets;
         ] );
       ( "composition",
         [

@@ -80,8 +80,8 @@ let test_bulk_rejects_bad_groups () =
    model must price satellites strictly below the leader (apply-only vs
    decompose + apply); and the clustered makespan — the whole group
    serial on one worker, members priced hoisted — must beat the
-   ungrouped naive schedule at one worker, matching the measured
-   single-core ordering of bench `rotations`. *)
+   ungrouped naive schedule at one worker, matching the single-core
+   ordering measured for hoisted rotations (EXPERIMENTS.md). *)
 let test_hoist_group_makespan () =
   let b = B.create ~vec_size:64 () in
   let x = B.input b ~scale:30 "x" in

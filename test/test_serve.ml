@@ -464,6 +464,190 @@ let test_faults_under_env () =
             (outputs_of faulted id))
         ids
 
+(* --- chaos soak ------------------------------------------------------- *)
+
+(* One daemon under a seeded storm of adversity: injected worker deaths
+   and transient failures, per-node delays, impossible and merely tight
+   deadlines, sustained overload with shedding on, then a wave of
+   hostile wire sessions (malformed payloads, corrupt and truncated
+   frames, clients that vanish before reading, live stats probes). The
+   daemon never crashes; every request is answered exactly once, with
+   outputs or the one EVA-Exxx error its adversity class allows;
+   successes are within tolerance of the plaintext reference and the
+   sampled ones bit-exact against a sequential replay; shed work fails
+   fast, so p99 stays bounded. *)
+let test_chaos_soak () =
+  (* Writes onto vanished clients must surface as EPIPE/Sys_error (which
+     the daemon contains), not as a fatal SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let n_requests = 300 and n_sessions = 30 in
+  let c = compiled () in
+  let zero = [ ("x", Reference.Vec (Array.make 16 0.0)) ] in
+  let engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n:8 c zero in
+  let chaos_x id = Array.init 16 (fun i -> Float.sin (float_of_int ((3 * id) + i)) /. 4.0) in
+  let within_tolerance id outputs =
+    let want =
+      List.assoc "out" (Reference.execute c.Compile.program [ ("x", Reference.Vec (chaos_x id)) ])
+    in
+    Array.for_all2
+      (fun g w -> Float.abs (g -. w) < 1e-2 *. (1.0 +. Float.abs w))
+      (List.assoc "out" outputs) want
+  in
+  let non_inputs = List.map (fun n -> n.Ir.id) (non_input_nodes c) in
+  let st = Random.State.make [| 0xC4A05 |] in
+  let pick_nodes k =
+    List.filteri (fun i _ -> i < k) (List.sort (fun _ _ -> Random.State.int st 3 - 1) non_inputs)
+  in
+  (* Each request id draws one adversity class. The submission loop is
+     itself a sustained overload burst against a bounded queue. *)
+  let kind_of = Array.make n_requests `Clean and deadline_of = Array.make n_requests (Some 5000) in
+  let plans = Hashtbl.create 64 in
+  let plan id actions = Hashtbl.replace plans id (Fault.plan actions) in
+  for id = 0 to n_requests - 1 do
+    let r = Random.State.float st 1.0 in
+    if r < 0.06 then begin
+      kind_of.(id) <- `Death;
+      plan id (List.map (fun n -> (n, [ Fault.Die ])) (pick_nodes 1))
+    end
+    else if r < 0.12 then begin
+      kind_of.(id) <- `Flaky;
+      plan id (List.map (fun n -> (n, [ Fault.Fail ])) (pick_nodes 2))
+    end
+    else if r < 0.18 then begin
+      kind_of.(id) <- `Slowed;
+      plan id (List.map (fun n -> (n, [ Fault.Delay (0.0005 +. Random.State.float st 0.002) ])) (pick_nodes 2))
+    end
+    else if r < 0.23 then begin
+      (* Doomed: per-node delays no deadline can fit — cancelled
+         mid-graph, or shed once service times are learned. *)
+      kind_of.(id) <- `Doomed;
+      deadline_of.(id) <- Some 25;
+      plan id (List.map (fun n -> (n, [ Fault.Delay 0.02 ])) non_inputs)
+    end
+    else if r < 0.28 then begin
+      (* Deadline storm: 0ms can never be met, so admission refuses it. *)
+      kind_of.(id) <- `Storm;
+      deadline_of.(id) <- Some 0
+    end
+  done;
+  let config =
+    {
+      Serve.default_config with
+      Serve.pipeline = max 1 (min 2 (Domain.recommended_domain_count () - 1));
+      queue_depth = 8;
+      retry_budget = max 4 (n_requests / 50);
+      shed = Serve.Watermarks { high = 6; low = 3 };
+    }
+  in
+  let results = Hashtbl.create n_requests and lock = Mutex.create () and answered = ref 0 in
+  let respond (r : Wire.response) =
+    Mutex.lock lock;
+    incr answered;
+    Hashtbl.replace results r.Wire.resp_id r.Wire.payload;
+    Mutex.unlock lock
+  in
+  let daemon = Serve.start ~config ~fault_for:(Hashtbl.find_opt plans) ~respond c engine in
+  for id = 0 to n_requests - 1 do
+    Serve.submit daemon
+      { Wire.req_id = id; deadline_ms = deadline_of.(id); req_inputs = [ ("x", chaos_x id) ] }
+  done;
+  ignore (Serve.drain daemon);
+  Alcotest.(check int) "exactly one answer per request" n_requests !answered;
+  (* The only legal degradations are the designed ones: clean, flaky and
+     slowed requests succeed (retries absorb Fail; the deadline is
+     generous); deaths succeed while the daemon-wide retry budget lasts,
+     then fail fast as E504; doomed requests are cancelled (E505) or
+     shed (E509); storms are always shed. *)
+  let ok = ref 0 and shed = ref 0 in
+  Array.iteri
+    (fun id kind ->
+      match (kind, Hashtbl.find_opt results id) with
+      | _, None -> Alcotest.failf "request %d never answered" id
+      | _, Some (Ok outputs) when not (within_tolerance id outputs) ->
+          Alcotest.failf "request %d answered outside tolerance" id
+      | (`Clean | `Flaky | `Slowed | `Death), Some (Ok _) -> incr ok
+      | `Death, Some (Error { Diag.code = 504; layer = Diag.Execute; _ }) -> ()
+      | `Doomed, Some (Error { Diag.code = 505; layer = Diag.Execute; _ }) -> ()
+      | (`Doomed | `Storm), Some (Error { Diag.code = 509; layer = Diag.Execute; _ }) -> incr shed
+      | _, Some (Ok _) -> Alcotest.failf "request %d beat an impossible deadline" id
+      | _, Some (Error d) -> Alcotest.failf "request %d failed oddly: %s" id (Diag.to_string d))
+    kind_of;
+  Alcotest.(check bool) "some request shed with E509" true (!shed > 0);
+  Alcotest.(check bool) "some request answered Ok" true (!ok > 0);
+  (* Bit-exact spot check of every 37th id against a sequential replay. *)
+  let replay_engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n:8 c zero in
+  for id = 0 to n_requests - 1 do
+    match Hashtbl.find results id with
+    | Ok outputs when id mod 37 = 0 ->
+        let e =
+          Executor.rebind ~seed:(Serve.request_seed config id) ~reset_cache:false replay_engine c
+            [ ("x", Reference.Vec (chaos_x id)) ]
+        in
+        check_bit_exact (Printf.sprintf "request %d" id) (fst (Executor.run_on e c)) outputs
+    | _ -> ()
+  done;
+  let lat = Serve.latencies_ms daemon in
+  Array.sort compare lat;
+  let n = Array.length lat in
+  let p99 = if n = 0 then 0.0 else lat.(min (n - 1) (int_of_float (float_of_int n *. 0.99))) in
+  Alcotest.(check bool) (Printf.sprintf "p99 %.1f ms < 750 ms" p99) true (p99 < 750.0);
+  (* Hostile wire sessions against the same warm engine: valid requests,
+     malformed payloads and stats probes, possibly ending in a corrupt
+     header or a client that vanishes mid-frame. *)
+  let survived = ref 0 in
+  for session = 0 to n_sessions - 1 do
+    let base = 1_000_000 + (session * 100) in
+    let parts = Buffer.create 1024 and expect_ok = ref [] and terminal = ref false in
+    for j = 0 to 1 + Random.State.int st 4 do
+      if not !terminal then
+        let r = Random.State.float st 1.0 in
+        if r < 0.55 then begin
+          let id = base + j in
+          expect_ok := id :: !expect_ok;
+          Buffer.add_string parts
+            (frame (Wire.to_string (fun buf () -> Wire.write_request buf ~id [ ("x", chaos_x id) ]) ()))
+        end
+        else if r < 0.70 then Buffer.add_string parts (frame "these are not the droids")
+        else if r < 0.80 then Buffer.add_string parts (frame Wire.stats_probe)
+        else begin
+          terminal := true;
+          Buffer.add_string parts (if r < 0.90 then "frame not-a-length\n" else "frame 4096\ntruncated")
+        end
+    done;
+    let vanish_reader = session mod 7 = 3 in
+    let req_read, req_write = Unix.pipe () and resp_read, resp_write = Unix.pipe () in
+    let feeder = Unix.out_channel_of_descr req_write in
+    output_string feeder (Buffer.contents parts);
+    close_out feeder;
+    if vanish_reader then Unix.close resp_read;
+    let ic = Unix.in_channel_of_descr req_read and oc = Unix.out_channel_of_descr resp_write in
+    ignore (Serve.run_channels ~config:{ config with Serve.pipeline = 0 } c engine ic oc);
+    incr survived;
+    (try close_out oc with _ -> ());
+    close_in ic;
+    if not vanish_reader then begin
+      let ic2 = Unix.in_channel_of_descr resp_read in
+      let rec read acc = match Wire.read_frame ic2 with None -> List.rev acc | Some x -> read (x :: acc) in
+      let frames = read [] in
+      close_in ic2;
+      let is_stats x = String.length x >= 6 && String.sub x 0 6 = "stats " in
+      List.iter (fun x -> if is_stats x then ignore (Wire.read_stats x ~pos:(ref 0))) frames;
+      let responses =
+        List.filter_map
+          (fun x -> if is_stats x then None else Some (Wire.read_response x ~pos:(ref 0)))
+          frames
+      in
+      List.iter
+        (fun id ->
+          match find_response responses id with
+          | Ok outputs when within_tolerance id outputs -> ()
+          | Ok _ -> Alcotest.failf "wire request %d outside tolerance" id
+          | Error d -> Alcotest.failf "wire request %d failed: %s" id (Diag.to_string d))
+        !expect_ok
+    end
+  done;
+  Alcotest.(check int) "every hostile session survived" n_sessions !survived
+
 let () =
   Alcotest.run "serve"
     [
@@ -496,4 +680,5 @@ let () =
           Alcotest.test_case "request/response round trip bit-exact" `Quick test_wire_round_trip_bit_exact;
           Alcotest.test_case "stats probe answered mid-stream" `Quick test_stats_probe;
         ] );
+      ("chaos", [ Alcotest.test_case "soak: faults, storms and hostile clients" `Quick test_chaos_soak ]);
     ]
