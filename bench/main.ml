@@ -219,7 +219,7 @@ let table4 () =
               | Some e -> Executor.rebind e compiled bindings
             in
             engine := Some e;
-            let outputs, _ = Executor.run_on e compiled in
+            let outputs, _ = Executor.decode e (Executor.run_graph e compiled) in
             let enc = N.read_outputs lowered outputs in
             let plain = N.infer_plain net w image in
             if T.argmax plain = T.argmax enc then incr agree;
@@ -281,8 +281,7 @@ let table5 () =
         let image = Array.init (net.N.input_channels * net.N.input_height * net.N.input_width) (fun i -> Float.sin (float_of_int i)) in
         let bindings = N.bindings lowered image in
         let e = Executor.prepare ~ignore_security:true ~log_n:10 compiled bindings in
-        let _, seconds = Executor.run_on e compiled in
-        seconds
+        (Executor.run_graph e compiled).Executor.elapsed_seconds
       in
       let t_chet = run `Chet and t_eva = run `Eva in
       Printf.printf "%-18s | CHET-style %6.2fs | EVA %6.2fs | speedup %.2fx\n" net.N.net_name t_chet t_eva
@@ -347,12 +346,12 @@ let table8 () =
       let compiled = Compile.run p in
       let inputs = app.Apps.gen_inputs (Random.State.make [| 4 |]) in
       let e = Executor.prepare compiled inputs in
-      let outputs, seconds = Executor.run_on e compiled in
+      let outputs, t = Executor.decode e (Executor.run_graph e compiled) in
       let expect = Reference.execute p inputs in
       let err = Executor.max_abs_error outputs expect in
       let ploc, ptime = List.assoc app.Apps.app_name paper_table8 in
       Printf.printf "%-28s | %6d | %4d | %9.3f | %d / %.3f   (max err %.1e)\n" app.Apps.app_name app.Apps.vec_size
-        app.Apps.loc seconds ploc ptime err;
+        app.Apps.loc t.Executor.execute_seconds ploc ptime err;
       Gc.compact ())
     Apps.all
 
@@ -407,7 +406,7 @@ let figure7 () =
 (* ------------------------------------------------------------------ *)
 
 let figure9 () =
-  header "Figure 9: measured vs modeled parallel scaling (Parallel.execute on OCaml 5 domains)";
+  header "Figure 9: measured vs modeled parallel scaling (Parallel.execute_on on OCaml 5 domains)";
   Printf.printf
     "The deep benchmarks (mini networks) run end to end through the real\n\
      parallel executor at reduced degree 2^10, workers 1/2/4/8; the model\n\
@@ -556,16 +555,14 @@ let vectorize_bench () =
   let measure ~vectorize p bindings =
     let c = Compile.run ~vectorize p in
     let engine = Executor.prepare ~seed:11 ~ignore_security:true ~log_n c bindings in
-    let outputs, _ = Executor.run_on engine c in
-    let outputs = Compile.unpack_outputs c outputs in
+    let s = Executor.run_graph engine c in
+    let outputs = Compile.unpack_outputs c (fst (Executor.decode engine s)) in
     let err = Executor.max_abs_error outputs (Reference.execute p bindings) in
     assert (err < 0.05);
-    let s = Executor.run_graph engine c in
     let secs =
       time_loop reps (fun () ->
           let e = Executor.rebind ~seed:12 ~reset_cache:false engine c bindings in
-          let outputs, _ = Executor.run_on e c in
-          ignore (Compile.unpack_outputs c outputs))
+          ignore (Compile.unpack_outputs c (fst (Executor.decode e (Executor.run_graph e c)))))
     in
     (c, s.Executor.op_counts, secs, err)
   in

@@ -4,7 +4,7 @@
    evac compile PROGRAM.eva -o OUT.eva [--policy eva|lazy] [--waterline K] [--eager-relin] [--optimize]
    evac validate PROGRAM.eva [--transformed]
    evac estimate PROGRAM.eva [--log-n K] [--magnitude M] [--waterline K] [--eager-relin] [--optimize]
-   evac run PROGRAM.eva [--seed N] [--log-n K] [--reference] [--workers W] [--pool-workers P] [--waterline K] [--eager-relin] [--stats] [--optimize]
+   evac run PROGRAM.eva [--seed N] [--log-n K] [--reference] [--workers W] [--batch B] [--pool-workers P] [--waterline K] [--eager-relin] [--stats] [--optimize]
    evac serve PROGRAM.eva [--socket PATH] [--queue-depth D] [--pipeline P] [--workers W] [--pool-workers P] [--shed] [--drain-timeout-ms MS]
                           [--deadline-ms MS] [--seed N] [--log-n K] [--waterline K] [--eager-relin] [--optimize]
 *)
@@ -19,6 +19,7 @@ module Analysis = Eva_core.Analysis
 module Validate = Eva_core.Validate
 module Reference = Eva_core.Reference
 module Executor = Eva_core.Executor
+module Parallel = Eva_schedule.Parallel
 module Diag = Eva_diag.Diag
 module Pool = Eva_pool.Pool
 
@@ -242,9 +243,9 @@ let run_cmd =
       no_vectorize =
     reporting (Some path) @@ fun () ->
     let p = load path in
-    let lanes = apply_pool_workers ~domains:(max 1 workers) pool_workers in
+    let workers = max 1 workers in
+    let lanes = apply_pool_workers ~domains:workers pool_workers in
     Pool.reset_stats ();
-    let bindings = random_bindings p seed in
     let show outputs =
       List.iter
         (fun (name, v) ->
@@ -275,58 +276,30 @@ let run_cmd =
         (100.0 *. Pool.efficiency ~lanes:(max 1 lanes) ps)
         ps.Pool.wall_seconds ps.Pool.busy_seconds
     in
-    if reference then show (Reference.execute p bindings)
-    else if batch > 1 then begin
-      (* Slot-batched one-shot: compile widened to [batch] lanes, fill
-         each lane with its own random member (seeds seed, seed+1, ...),
-         run the graph ONCE, then scatter each lane back out and check
-         it against that member's own reference run. *)
+    if reference then show (Reference.execute p (random_bindings p seed))
+    else begin
+      (* One path for every --workers/--batch: compile widened to
+         [batch] lanes (one at --batch 1), fill lane b with its own
+         random member (seed + b), run the graph once on [workers]
+         domains, then scatter each lane back out and check it against
+         that member's own reference run. *)
       let c = Compile.run ?waterline ~eager_relin ~optimize ~vectorize:(not no_vectorize) ~batch p in
       Format.printf "%a@." Params.pp c.Compile.params;
-      let members = Array.init batch (fun b -> random_bindings p (seed + b)) in
       let seeds = Array.init batch (fun b -> seed + b) in
-      let engine =
-        Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c (zero_bindings p)
-      in
-      let e = Executor.rebind_batched ~seeds engine c members in
-      let outputs, dt = Executor.run_on e c in
-      Printf.printf "batched execute: %d lanes in one evaluation, %.3fs (%.3fs/request)\n" batch dt
-        (dt /. float_of_int batch);
+      let members = Array.map (random_bindings p) seeds in
+      let engine = Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c (zero_bindings p) in
+      let r = Parallel.execute_on ~workers (Executor.rebind_batched ~seeds engine c members) c in
+      Printf.printf "execute: %d lane(s) in one evaluation on %d worker(s), %.3fs (peak live values %d)\n"
+        batch workers r.Parallel.timings.Executor.execute_seconds r.Parallel.peak_live_values;
+      if stats then show_stats r.Parallel.timings;
       Array.iteri
         (fun b member ->
-          let lane_out =
-            Compile.unpack_outputs c
-              (List.map
-                 (fun (name, v) -> (name, Executor.extract_lane ~lanes:batch ~lane:b v))
-                 outputs)
-          in
+          let lane (name, v) = (name, Executor.extract_lane ~lanes:batch ~lane:b v) in
+          let lane_out = Compile.unpack_outputs c (List.map lane r.Parallel.outputs) in
           if b = 0 then show lane_out;
-          let expect = Reference.execute p member in
           Printf.printf "lane %d: max |encrypted - reference| = %.3e\n" b
-            (Executor.max_abs_error lane_out expect))
+            (Executor.max_abs_error lane_out (Reference.execute p member)))
         members
-    end
-    else begin
-      let c = Compile.run ?waterline ~eager_relin ~optimize ~vectorize:(not no_vectorize) p in
-      Format.printf "%a@." Params.pp c.Compile.params;
-      let outputs =
-        if workers > 1 then begin
-          let r = Eva_schedule.Parallel.execute ~seed ~ignore_security:(log_n <> None) ?log_n ~workers c bindings in
-          Printf.printf "parallel execute: %.3fs on %d workers (peak live values %d)\n"
-            r.Eva_schedule.Parallel.timings.Executor.execute_seconds workers
-            r.Eva_schedule.Parallel.peak_live_values;
-          if stats then show_stats r.Eva_schedule.Parallel.timings;
-          r.Eva_schedule.Parallel.outputs
-        end
-        else begin
-          let r = Executor.execute ~seed ~ignore_security:(log_n <> None) ?log_n c bindings in
-          if stats then show_stats r.Executor.timings;
-          r.Executor.outputs
-        end
-      in
-      show outputs;
-      let expect = Reference.execute p bindings in
-      Printf.printf "max |encrypted - reference| = %.3e\n" (Executor.max_abs_error outputs expect)
     end
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed for inputs and keys") in
@@ -374,20 +347,11 @@ let serve_cmd =
     ignore (apply_pool_workers ~domains:(max 1 pipeline * workers) pool_workers);
     let c = Compile.run ?waterline ~eager_relin ~optimize ~vectorize:(not no_vectorize) p in
     (* With batching the one keyset must also cover every batched
-       variant's rotations (steps scaled by the lane count). Clamp the
-       key generation to the widths that physically fit the ring the
-       daemon will run at, mirroring Serve.start's own clamp. *)
-    let extra_rotations =
-      if max_batch <= 1 then []
-      else begin
-        let eff_log_n = Option.value log_n ~default:c.Compile.params.Params.log_n in
-        let slots = 1 lsl (eff_log_n - 1) in
-        let rec widest l =
-          if 2 * l <= max_batch && 2 * l * p.Ir.vec_size <= slots then widest (2 * l) else l
-        in
-        Compile.batch_rotations c ~max_lanes:(widest 1)
-      end
-    in
+       variant's rotations (steps scaled by the lane count), at exactly
+       the widths Serve.start will pick for the ring the daemon runs at. *)
+    let slots = 1 lsl (Option.value log_n ~default:c.Compile.params.Params.log_n - 1) in
+    let widths = Compile.batch_widths c ~max_batch ~slots in
+    let extra_rotations = Compile.batch_rotations c ~max_lanes:(List.fold_left max 1 widths) in
     let engine =
       Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n ~extra_rotations c
         (zero_bindings p)

@@ -27,6 +27,11 @@ let slot_rotations c =
     (List.filter (fun k -> k <> 0)
        (List.map (fun k -> ((k mod vs) + vs) mod vs) c.params.Params.rotations))
 
+let batch_widths c ~max_batch ~slots =
+  let vs = c.program.Ir.vec_size in
+  let rec go l = if l > max_batch || l * vs > slots then [] else l :: go (2 * l) in
+  go 1
+
 let batch_rotations c ~max_lanes =
   let rec go acc lanes =
     if lanes > max_lanes then acc else go (slot_rotations (batch c ~lanes) @ acc) (lanes * 2)

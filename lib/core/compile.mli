@@ -33,6 +33,15 @@ val batch : compiled -> lanes:int -> compiled
     left-rotation slot offsets (deduplicated, sorted). *)
 val slot_rotations : compiled -> int list
 
+(** [batch_widths c ~max_batch ~slots] is the ascending list of
+    power-of-two batch widths a server runs [c] at: every [lanes] up to
+    [max_batch] whose [lanes * vec_size] (the compiled, possibly
+    vectorization-widened width) fits in [slots]. A [max_batch] past the
+    slot capacity batches as wide as fits rather than failing — the
+    flag states intent, the context states physics. Starts at 1 unless
+    [c] itself does not fit. *)
+val batch_widths : compiled -> max_batch:int -> slots:int -> int list
+
 (** [batch_rotations c ~max_lanes] is the union of {!slot_rotations}
     over the batched variants of [c] at every power-of-two width in
     [2 .. max_lanes] — the extra Galois steps one keyset needs to serve

@@ -393,38 +393,32 @@ let encode_cached e plain ~level ~scale =
 
 let scale_of e n = Float.ldexp 1.0 (Hashtbl.find e.node_scales n.Ir.id)
 
+(* Ciphertext arms only: a node whose operands are all plaintext takes
+   the reference semantics ([Reference.eval_op]) verbatim, so the two
+   can never drift. *)
 let eval_node e n parents =
   let vs = e.vec_size in
-  let plain2 f a b = Array.init vs (fun i -> f a.(i) b.(i)) in
   let rotate_ct ct k =
     let k = ((k mod vs) + vs) mod vs in
     Eval.rotate e.ctx e.keyset ct k
   in
   match (n.Ir.op, parents) with
   | Ir.Input _, _ -> invalid_arg "Executor.eval_node: inputs are prepared, not evaluated"
-  | Ir.Constant (Ir.Const_vector v), _ -> Plain (Reference.tile vs v)
-  | Ir.Constant (Ir.Const_scalar s), _ -> Plain (Array.make vs s)
   | Ir.Negate, [ Ct a ] -> Ct (Eval.negate a)
-  | Ir.Negate, [ Plain a ] -> Plain (Array.map (fun x -> -.x) a)
   | Ir.Add, [ Ct a; Ct b ] -> Ct (Eval.add a b)
   | Ir.Add, [ Ct a; Plain p ] -> Ct (Eval.add_plain a (encode_cached e p ~level:a.Eval.level ~scale:a.Eval.scale))
   | Ir.Add, [ Plain p; Ct b ] -> Ct (Eval.add_plain b (encode_cached e p ~level:b.Eval.level ~scale:b.Eval.scale))
-  | Ir.Add, [ Plain a; Plain b ] -> Plain (plain2 ( +. ) a b)
   | Ir.Sub, [ Ct a; Ct b ] -> Ct (Eval.sub a b)
   | Ir.Sub, [ Ct a; Plain p ] -> Ct (Eval.sub_plain a (encode_cached e p ~level:a.Eval.level ~scale:a.Eval.scale))
   | Ir.Sub, [ Plain p; Ct b ] ->
       Ct (Eval.negate (Eval.sub_plain b (encode_cached e p ~level:b.Eval.level ~scale:b.Eval.scale)))
-  | Ir.Sub, [ Plain a; Plain b ] -> Plain (plain2 ( -. ) a b)
   | Ir.Multiply, [ Ct a; Ct b ] -> Ct (Eval.multiply a b)
   | Ir.Multiply, [ Ct a; Plain p ] ->
       Ct (Eval.multiply_plain a (encode_cached e p ~level:a.Eval.level ~scale:(scale_of e n.Ir.parms.(1))))
   | Ir.Multiply, [ Plain p; Ct b ] ->
       Ct (Eval.multiply_plain b (encode_cached e p ~level:b.Eval.level ~scale:(scale_of e n.Ir.parms.(0))))
-  | Ir.Multiply, [ Plain a; Plain b ] -> Plain (plain2 ( *. ) a b)
   | Ir.Rotate_left k, [ Ct a ] -> Ct (rotate_ct a k)
-  | Ir.Rotate_left k, [ Plain a ] -> Plain (Array.init vs (fun i -> a.((((i + k) mod vs) + vs) mod vs)))
   | Ir.Rotate_right k, [ Ct a ] -> Ct (rotate_ct a (-k))
-  | Ir.Rotate_right k, [ Plain a ] -> Plain (Array.init vs (fun i -> a.((((i - k) mod vs) + vs) mod vs)))
   | Ir.Relinearize, [ Ct a ] -> Ct (Eval.relinearize e.ctx e.keyset a)
   | Ir.Mod_switch, [ Ct a ] -> Ct (Eval.mod_switch e.ctx a)
   | Ir.Rescale k, [ Ct a ] ->
@@ -440,19 +434,16 @@ let eval_node e n parents =
          residual distortion is part of the CKKS approximation. *)
       let ct' = Eval.rescale e.ctx a in
       Ct { ct' with Eval.scale = a.Eval.scale /. Float.ldexp 1.0 k }
-  (* Uniform passthrough for every FHE-specific op on a plaintext: none
-     of them changes reference semantics, and any size the cipher path
-     would carry (2 or 3 polynomials) is irrelevant on the plain side.
-     The [is_fhe_specific] guard keeps this arm in sync with the op set
-     instead of enumerating it. *)
-  | op, [ Plain a ] when Ir.is_fhe_specific op -> Plain a
-  | Ir.Output _, [ v ] -> v
-  | _ ->
-      let kind = function Ct _ -> "cipher" | Plain _ -> "plain" in
-      Diag.error ~node_id:n.Ir.id ~op:(Ir.op_name n.Ir.op) ~layer:Diag.Execute
-        ~code:Diag.exec_bad_operands "bad operands (%s) for %s"
-        (String.concat ", " (List.map kind parents))
-        (Ir.op_name n.Ir.op)
+  | Ir.Output _, [ (Ct _ as v) ] -> v
+  | op, _ -> (
+      match List.filter_map (function Plain a -> Some a | Ct _ -> None) parents with
+      | plains when List.compare_lengths plains parents = 0 -> Plain (Reference.eval_op vs op plains)
+      | _ ->
+          let kind = function Ct _ -> "cipher" | Plain _ -> "plain" in
+          Diag.error ~node_id:n.Ir.id ~op:(Ir.op_name op) ~layer:Diag.Execute
+            ~code:Diag.exec_bad_operands "bad operands (%s) for %s"
+            (String.concat ", " (List.map kind parents))
+            (Ir.op_name op))
 
 (* Evaluate a RotateMany hoist group as one unit: digit-decompose the
    shared source once and apply every member's Galois key to the cached
@@ -508,7 +499,7 @@ type run_stats = {
 
 exception Worker_died
 
-(* The one graph scheduler, for every worker count: [run_on], [execute],
+(* The one graph scheduler, for every worker count: [execute],
    [Parallel.execute_on] and the serving tier are all thin wrappers, so
    no two execution paths can drift. [workers] domains (the caller's
    included; one worker spawns nothing) claim ready nodes from a shared
@@ -712,10 +703,6 @@ let decode e s =
       pt_cache_misses;
       op_counts = s.op_counts;
     } )
-
-let run_on e compiled =
-  let s = run_graph e compiled in
-  (fst (decode e s), s.elapsed_seconds)
 
 let execute ?seed ?ignore_security ?log_n ?encrypt_workers compiled bindings =
   let e = prepare ?seed ?ignore_security ?log_n ?encrypt_workers compiled bindings in

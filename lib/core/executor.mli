@@ -133,8 +133,8 @@ type run_stats = {
 exception Worker_died
 
 (** [run_graph e c] evaluates the graph on a prepared engine: the one
-    node scheduler behind {!run_on}, {!execute}, [Parallel.execute_on]
-    and the serving tier. [workers] (default 1) domains claim ready
+    node scheduler behind {!execute}, [Parallel.execute_on] and the
+    serving tier. [workers] (default 1) domains claim ready
     nodes from a shared list, highest [priority] first (default:
     topological position, i.e. program order); one worker runs on the
     calling domain and spawns nothing. Outputs are bit-identical at
@@ -161,18 +161,13 @@ val run_graph :
   Compile.compiled -> run_stats
 
 (** [decode e s] decrypts (or passes through) the raw outputs of run
-    [s] — full-width slot vectors, as {!run_on} returns them — and
-    assembles the run's {!timings}: the engine's set-up times, [s]'s
-    evaluation time, per-node times and op counts, the decrypt time and
-    the engine's plaintext-cache counters. *)
+    [s] and assembles the run's {!timings}: the engine's set-up times,
+    [s]'s evaluation time, per-node times and op counts, the decrypt
+    time and the engine's plaintext-cache counters. Outputs are raw
+    full-width slot vectors — a vectorized or batched program's packed
+    outputs are NOT scattered here; apply {!Compile.unpack_outputs} (and
+    {!extract_lane}) as needed. *)
 val decode : engine -> run_stats -> (string * float array) list * timings
-
-(** Run a compiled program on a prepared engine (one worker),
-    returning decrypted outputs and the execute wall time. Outputs are
-    raw full-width slot vectors — a vectorized or batched program's
-    packed outputs are NOT scattered here; apply
-    {!Compile.unpack_outputs} (and {!extract_lane}) as needed. *)
-val run_on : engine -> Compile.compiled -> (string * float array) list * float
 
 val engine_context_seconds : engine -> float
 val engine_encrypt_seconds : engine -> float

@@ -24,10 +24,25 @@ let tile vec_size v =
        still tiles, so existing programs are unchanged. *)
     Array.init vec_size (fun i -> if i < len then v.(i) else 0.0)
 
+let eval_op vs op args =
+  let rotate a k = Array.init vs (fun i -> a.((((i + k) mod vs) + vs) mod vs)) in
+  match (op, args) with
+  | Ir.Constant (Ir.Const_vector v), [] -> tile vs v
+  | Ir.Constant (Ir.Const_scalar s), [] -> Array.make vs s
+  | Ir.Negate, [ a ] -> Array.map (fun x -> -.x) a
+  | Ir.Add, [ a; b ] -> Array.map2 ( +. ) a b
+  | Ir.Sub, [ a; b ] -> Array.map2 ( -. ) a b
+  | Ir.Multiply, [ a; b ] -> Array.map2 ( *. ) a b
+  | Ir.Rotate_left k, [ a ] -> rotate a k
+  | Ir.Rotate_right k, [ a ] -> rotate a (-k)
+  | (Ir.Relinearize | Ir.Mod_switch | Ir.Rescale _ | Ir.Output _), [ a ] -> a
+  | _ ->
+      Eva_diag.Diag.error ~layer:Eva_diag.Diag.Execute ~code:Eva_diag.Diag.exec_bad_operands
+        "bad operands (%d plain) for %s" (List.length args) (Ir.op_name op)
+
 let execute p bindings =
   let vs = p.Ir.vec_size in
   let values : (int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let get n = Hashtbl.find values n.Ir.id in
   let outputs = ref [] in
   List.iter
     (fun n ->
@@ -39,24 +54,10 @@ let execute p bindings =
             | Some (Scal s) -> Array.make vs s
             | None -> raise (Missing_input name)
           end
-        | Ir.Constant (Ir.Const_vector v) -> tile vs v
-        | Ir.Constant (Ir.Const_scalar s) -> Array.make vs s
-        | Ir.Negate -> Array.map (fun x -> -.x) (get n.Ir.parms.(0))
-        | Ir.Add -> Array.map2 ( +. ) (get n.Ir.parms.(0)) (get n.Ir.parms.(1))
-        | Ir.Sub -> Array.map2 ( -. ) (get n.Ir.parms.(0)) (get n.Ir.parms.(1))
-        | Ir.Multiply -> Array.map2 ( *. ) (get n.Ir.parms.(0)) (get n.Ir.parms.(1))
-        | Ir.Rotate_left k ->
-            let a = get n.Ir.parms.(0) in
-            Array.init vs (fun i -> a.((((i + k) mod vs) + vs) mod vs))
-        | Ir.Rotate_right k ->
-            let a = get n.Ir.parms.(0) in
-            Array.init vs (fun i -> a.((((i - k) mod vs) + vs) mod vs))
-        | Ir.Relinearize | Ir.Mod_switch | Ir.Rescale _ -> get n.Ir.parms.(0)
-        | Ir.Output name ->
-            let v = get n.Ir.parms.(0) in
-            outputs := (name, v) :: !outputs;
-            v
+        | op ->
+            eval_op vs op (Array.to_list (Array.map (fun m -> Hashtbl.find values m.Ir.id) n.Ir.parms))
       in
+      (match n.Ir.op with Ir.Output name -> outputs := (name, v) :: !outputs | _ -> ());
       Hashtbl.replace values n.Ir.id v)
     (Ir.topological p);
   List.rev !outputs

@@ -18,6 +18,13 @@ exception Missing_input of string
     hostile request degrades to an error response, not a crash). *)
 val tile : int -> float array -> float array
 
+(** [eval_op vec_size op args] is the plaintext semantics of one
+    non-input opcode on its operand values, in parameter order: the one
+    per-op evaluator behind {!execute} and the executor's all-plaintext
+    nodes (RESCALE, MODSWITCH, RELINEARIZE and OUTPUT pass their operand
+    through). An arity the opcode does not take raises EVA-E502. *)
+val eval_op : int -> Ir.op -> float array list -> float array
+
 (** [execute p bindings] returns the output values by name, in program
     order. Vector bindings shorter than [vec_size] are extended per
     {!tile}. *)

@@ -4,13 +4,12 @@ type t = {
   mutable rng : Random.State.t;
   seed : int;
   mutable prev_ms : float;
-  mutable steps : int;
 }
 
 let make ?(base_ms = 1.0) ?(cap_ms = 100.0) ~seed () =
   if base_ms <= 0.0 || cap_ms < base_ms then
     invalid_arg "Backoff.make: need 0 < base_ms <= cap_ms";
-  { base_ms; cap_ms; rng = Random.State.make [| seed |]; seed; prev_ms = base_ms; steps = 0 }
+  { base_ms; cap_ms; rng = Random.State.make [| seed |]; seed; prev_ms = base_ms }
 
 (* Decorrelated jitter: uniform over [base, 3 * prev], clamped to the
    cap. The expectation grows geometrically (factor ~1.5 + base/2prev)
@@ -21,7 +20,6 @@ let next_ms t =
   let lo = t.base_ms in
   let d = lo +. Random.State.float t.rng (Float.max 0.0 (hi -. lo)) in
   t.prev_ms <- d;
-  t.steps <- t.steps + 1;
   d
 
 let sleep ?limit_ms t =
@@ -31,7 +29,4 @@ let sleep ?limit_ms t =
 
 let reset t =
   t.prev_ms <- t.base_ms;
-  t.steps <- 0;
   t.rng <- Random.State.make [| t.seed |]
-
-let steps t = t.steps

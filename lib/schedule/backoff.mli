@@ -35,6 +35,3 @@ val sleep : ?limit_ms:float -> t -> unit
 
 (** Restart the schedule from [base_ms] (e.g. after a success). *)
 val reset : t -> unit
-
-(** How many intervals {!next_ms}/{!sleep} have produced. *)
-val steps : t -> int

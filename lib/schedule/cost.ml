@@ -72,6 +72,9 @@ let switch_split_cost coeffs ~log_n ~special_primes ~primes_of_level ~level =
   in
   (decompose, apply)
 
+(* Modeled seconds for node [n]: [primes_of_level] maps a chain level
+   (elements remaining) to machine-prime count and [level_of] gives each
+   node's level. [polys_of] gives each node's ciphertext size. *)
 let node_cost ?(polys_of = fun _ -> 2) coeffs ~log_n ~special_primes ~primes_of_level ~level_of n =
   let fn = float_of_int (1 lsl log_n) in
   let flog = float_of_int log_n in

@@ -29,36 +29,6 @@ val default_coefficients : coefficients
     four coefficients. *)
 val calibrate : ?log_n:int -> unit -> coefficients
 
-(** [switch_split_cost coeffs ~log_n ~special_primes ~primes_of_level
-    ~level] prices one hybrid key switch at a chain level as its
-    [(decompose, apply)] halves: the hoistable digit-decomposition
-    prefix and the per-key inner-product + modulus-down suffix. A naive
-    switch costs [decompose +. apply]; a RotateMany hoist group of [k]
-    rotations costs [decompose +. k *. apply]. *)
-val switch_split_cost :
-  coefficients ->
-  log_n:int ->
-  special_primes:int ->
-  primes_of_level:(int -> int) ->
-  level:int ->
-  float * float
-
-(** [node_cost coeffs ~log_n ~special_primes ~primes_of_level ~levels n]
-    is the modeled seconds for node [n], where [primes_of_level] maps a
-    chain level (elements remaining) to machine-prime count and [levels]
-    gives each node's level. [polys_of] gives each node's ciphertext
-    size (default: the canonical 2); linear ops and rescales on size-3
-    values flowing under lazy relinearization are priced at 3/2. *)
-val node_cost :
-  ?polys_of:(Eva_core.Ir.node -> int) ->
-  coefficients ->
-  log_n:int ->
-  special_primes:int ->
-  primes_of_level:(int -> int) ->
-  level_of:(Eva_core.Ir.node -> int) ->
-  Eva_core.Ir.node ->
-  float
-
 (** [program_costs coeffs compiled] precomputes a per-node cost table for
     a compiled program at its selected parameters (or [log_n] override).
     With [hoist] (the default, matching the executors), non-leader

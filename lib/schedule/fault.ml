@@ -58,7 +58,6 @@ let random ?max_retries ?backoff ~seed ~death_p ~fail_p ~corrupt_p () =
 
 let none () = make Silent
 
-let max_retries t = t.max_retries
 let counters t = t.counters
 
 (* Advance the jitter schedule under the plan's lock, sleep outside it:

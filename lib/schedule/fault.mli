@@ -7,8 +7,8 @@
     and per attempt, whether the evaluation proceeds, the worker dies,
     the attempt fails transiently, the node is delayed or times out, or
     the produced ciphertext is tampered with. The executor consults the
-    plan at every node through {!interpose} ({!Parallel.execute} plugs
-    it in); with no plan supplied the hook is absent and costs nothing.
+    plan at every node through {!interpose} ({!Parallel.execute_on}
+    plugs it in); with no plan supplied the hook is absent and costs nothing.
 
     Under any plan the contract is: the executor completes bit-exact
     after retries, or raises a structured [Eva_diag.Diag.Error] — it
@@ -63,7 +63,6 @@ val random :
 (** A plan that injects nothing — for measuring hook overhead. *)
 val none : unit -> t
 
-val max_retries : t -> int
 val counters : t -> counters
 
 (** Transient-failure exception raised inside an injected [Fail]

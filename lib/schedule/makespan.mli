@@ -14,7 +14,7 @@
     node's cost plus the costliest path to an exit through its
     consumers. Scheduling ready nodes by descending bottom level is the
     critical-path heuristic both {!simulate} and
-    {!Parallel.execute} use. *)
+    {!Parallel.execute_on} use. *)
 val bottom_levels :
   Eva_core.Ir.program -> cost:(Eva_core.Ir.node -> float) -> (int, float) Hashtbl.t
 

@@ -38,10 +38,3 @@ let execute_on ?cost ?fault ?cancel ?(hoist = true) ~workers engine compiled =
       };
     peak_live_values = s.Executor.peak_live_values;
   }
-
-let execute ?seed ?ignore_security ?log_n ?cost ?fault ?cancel ?hoist ~workers compiled bindings =
-  let engine =
-    Executor.prepare ?seed ?ignore_security ?log_n ~encrypt_workers:workers compiled bindings
-  in
-  let r = execute_on ?cost ?fault ?cancel ?hoist ~workers engine compiled in
-  { r with outputs = Eva_core.Compile.unpack_outputs compiled r.outputs }

@@ -55,10 +55,11 @@ val priority :
     mid-group requeues the leader and the group re-executes bit-exactly.
     Each member still passes through the fault plan on its own.
 
-    Outputs are raw full-width slot vectors, as in
-    {!Eva_core.Executor.run_on}; callers unpack vectorized layouts via
-    {!Eva_core.Compile.unpack_outputs}. [timings.per_node] is sorted by
-    node id. *)
+    Outputs are raw full-width slot vectors, as
+    {!Eva_core.Executor.decode} returns them; callers unpack vectorized
+    layouts via {!Eva_core.Compile.unpack_outputs} (and batched lanes
+    via {!Eva_core.Executor.extract_lane}). [timings.per_node] is sorted
+    by node id. *)
 val execute_on :
   ?cost:(Eva_core.Ir.node -> float) ->
   ?fault:Fault.t ->
@@ -67,22 +68,4 @@ val execute_on :
   workers:int ->
   Eva_core.Executor.engine ->
   Eva_core.Compile.compiled ->
-  result
-
-(** [execute ~workers c bindings] behaves like
-    {!Eva_core.Executor.execute} but evaluates independent instructions
-    on [workers] domains (input encryption included); like it, bindings
-    pass through the vectorization shim and outputs are scattered back
-    via {!Eva_core.Compile.unpack_outputs}. *)
-val execute :
-  ?seed:int ->
-  ?ignore_security:bool ->
-  ?log_n:int ->
-  ?cost:(Eva_core.Ir.node -> float) ->
-  ?fault:Fault.t ->
-  ?cancel:Eva_core.Cancel.token ->
-  ?hoist:bool ->
-  workers:int ->
-  Eva_core.Compile.compiled ->
-  (string * Eva_core.Reference.binding) list ->
   result

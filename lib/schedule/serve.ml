@@ -441,17 +441,11 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
     ({ lanes = l; vcompiled; priority }, work)
   in
   let variants, est_model_s =
-    (* Power-of-two batch widths up to [max_batch], clamped to what the
-       engine's ciphertexts physically hold: lanes * vec_size slots. A
-       max_batch past the slot capacity batches as wide as fits rather
-       than failing — the flag states intent, the context states
-       physics. *)
-    let base_vs = compiled.Compile.program.Ir.vec_size in
-    let rec widths acc l =
-      if l > config.max_batch || l * base_vs > ctx_slots then List.rev acc
-      else widths (priced l (if l = 1 then compiled else Compile.batch compiled ~lanes:l) :: acc) (2 * l)
+    let priced =
+      List.map
+        (fun l -> priced l (Compile.batch compiled ~lanes:l))
+        (Compile.batch_widths compiled ~max_batch:config.max_batch ~slots:ctx_slots)
     in
-    let priced = widths [] 1 in
     (Array.of_list (List.map fst priced), snd (List.hd priced))
   in
   let eff_max_batch = variants.(Array.length variants - 1).lanes in

@@ -175,7 +175,7 @@ let direct_batched_answers cfg c ids =
       (engine ~max_lanes:8 c) cb
       (Array.of_list (List.map (fun id -> [ ("x", Reference.Vec (request_x id)) ]) ids))
   in
-  let outputs, _ = Executor.run_on e cb in
+  let outputs, _ = Executor.decode e (Executor.run_graph e cb) in
   List.mapi
     (fun b id ->
       (id, List.map (fun (n, v) -> (n, Executor.extract_lane ~lanes ~lane:b v)) outputs))

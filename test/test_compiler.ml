@@ -266,7 +266,8 @@ let test_lazy_relin_conv_cipher () =
     let c = Compile.run ~eager_relin ~vectorize:false p in
     Alcotest.(check int) (Printf.sprintf "relins (eager %b)" eager_relin) want (relins c.Compile.program);
     let engine = Executor.prepare ~seed:11 ~ignore_security:true ~log_n:8 c bindings in
-    let err = Executor.max_abs_error (fst (Executor.run_on engine c)) expect in
+    let outputs, _ = Executor.decode engine (Executor.run_graph engine c) in
+    let err = Executor.max_abs_error outputs expect in
     Alcotest.(check bool) (Printf.sprintf "max err %.1e < 0.05" err) true (err < 0.05)
   in
   check ~eager_relin:true 36;

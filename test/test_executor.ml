@@ -248,10 +248,10 @@ let test_pt_cache_counters () =
   B.output b "out" ~scale:30 (B.add (B.mul x m) (B.mul (B.rotate_left x 1) m));
   let c = Compile.run (B.program b) in
   let e = Executor.prepare ~ignore_security:true ~log_n:10 c [ ("x", vec 16 (fun _ -> 0.5)) ] in
-  ignore (Executor.run_on e c);
+  ignore (Executor.run_graph e c);
   let h1, m1 = Executor.pt_cache_counters e in
   Alcotest.(check bool) "first run misses" true (m1 > 0);
-  ignore (Executor.run_on e c);
+  ignore (Executor.run_graph e c);
   let h2, m2 = Executor.pt_cache_counters e in
   Alcotest.(check int) "second run adds no misses" m1 m2;
   Alcotest.(check bool) "second run hits" true (h2 > h1)
@@ -293,9 +293,9 @@ let test_rebind_reuses_keys () =
   let input1 = [ ("x", vec 16 (fun i -> float_of_int i /. 16.0)) ] in
   let input2 = [ ("x", vec 16 (fun i -> 1.0 -. (float_of_int i /. 8.0))) ] in
   let e1 = Executor.prepare ~ignore_security:true ~log_n:10 c input1 in
-  let out1, _ = Executor.run_on e1 c in
+  let out1, _ = Executor.decode e1 (Executor.run_graph e1 c) in
   let e2 = Executor.rebind e1 c input2 in
-  let out2, _ = Executor.run_on e2 c in
+  let out2, _ = Executor.decode e2 (Executor.run_graph e2 c) in
   let expect2 = Reference.execute (c.Compile.program) input2 in
   Alcotest.(check bool) "second input correct" true (Executor.max_abs_error out2 expect2 < 1e-3);
   let expect1 = Reference.execute (c.Compile.program) input1 in
@@ -317,7 +317,8 @@ let test_rebind_reaims_engine () =
       [ ("x", vec 8 (fun i -> float_of_int i /. 8.0)) ]
   in
   let input = [ ("x", vec 16 (fun i -> 1.0 -. (float_of_int i /. 16.0))) ] in
-  let out, _ = Executor.run_on (Executor.rebind ~seed:3 e cb input) cb in
+  let e = Executor.rebind ~seed:3 e cb input in
+  let out, _ = Executor.decode e (Executor.run_graph e cb) in
   Alcotest.(check int) "all 16 slots" 16 (Array.length (List.assoc "out" out));
   let expect = Reference.execute cb.Compile.program input in
   Alcotest.(check bool) "matches reference" true (Executor.max_abs_error out expect < 1e-3)

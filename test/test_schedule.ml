@@ -147,16 +147,16 @@ let test_parallel_matches_sequential () =
   let c = Compile.run p in
   let bindings = [ ("x", Reference.Vec (Array.init 16 (fun i -> Float.sin (float_of_int i) /. 2.0))) ] in
   let seq = Executor.execute ~seed:3 ~ignore_security:true ~log_n:10 c bindings in
+  let engine = Executor.prepare ~seed:3 ~ignore_security:true ~log_n:10 c bindings in
   List.iter
     (fun workers ->
-      let par = Parallel.execute ~seed:3 ~ignore_security:true ~log_n:10 ~workers c bindings in
+      let par = Parallel.execute_on ~workers engine c in
       List.iter
         (fun (name, v) ->
           let w = List.assoc name par.Parallel.outputs in
           Array.iteri
             (fun i x ->
-              if Float.abs (x -. w.(i)) > 1e-9 then
-                Alcotest.failf "workers=%d %s slot %d: %f vs %f" workers name i x w.(i))
+              if x <> w.(i) then Alcotest.failf "workers=%d %s slot %d: %h vs %h" workers name i x w.(i))
             v)
         seq.Executor.outputs)
     [ 1; 2; 4 ]
@@ -201,6 +201,7 @@ let test_parallel_random_dags_match_sequential () =
       in
       let bindings = [ ("x", Reference.Vec (Array.init 16 (fun i -> Float.sin (float_of_int i) /. 4.0))) ] in
       let seq = Executor.execute ~seed:7 ~ignore_security:true ~log_n:10 c bindings in
+      let engine = Executor.prepare ~seed:7 ~ignore_security:true ~log_n:10 c bindings in
       Alcotest.(check (list int))
         (Printf.sprintf "seed=%d sequential covers every instruction once" seed)
         (List.sort compare instructions) (covered seq.Executor.timings);
@@ -217,7 +218,7 @@ let test_parallel_random_dags_match_sequential () =
       in
       List.iter
         (fun workers ->
-          let par = Parallel.execute ~seed:7 ~ignore_security:true ~log_n:10 ~workers c bindings in
+          let par = Parallel.execute_on ~workers engine c in
           check_outputs (Printf.sprintf "workers=%d" workers) par;
           Alcotest.(check bool)
             (Printf.sprintf "seed=%d workers=%d op counts" seed workers)
@@ -231,7 +232,7 @@ let test_parallel_random_dags_match_sequential () =
               ~backoff:(Eva_schedule.Backoff.make ~base_ms:0.01 ~cap_ms:0.1 ~seed:0 ())
               (List.map (fun id -> (id, [ Fault.Fail ])) instructions)
           in
-          let faulted = Parallel.execute ~seed:7 ~ignore_security:true ~log_n:10 ~fault ~workers c bindings in
+          let faulted = Parallel.execute_on ~fault ~workers engine c in
           check_outputs (Printf.sprintf "workers=%d, every node failed once" workers) faulted;
           Alcotest.(check int)
             (Printf.sprintf "seed=%d workers=%d every node retried once" seed workers)
@@ -252,9 +253,10 @@ let test_release_keeps_peak_live_small () =
   let nodes = List.length c.Compile.program.Ir.all_nodes in
   Alcotest.(check bool) "chain is deep" true (nodes > 200);
   let bindings = [ ("x", Reference.Vec (Array.init 16 float_of_int)) ] in
+  let e = Executor.prepare ~ignore_security:true ~log_n:10 c bindings in
   List.iter
     (fun workers ->
-      let r = Parallel.execute ~ignore_security:true ~log_n:10 ~workers c bindings in
+      let r = Parallel.execute_on ~workers e c in
       if not (r.Parallel.peak_live_values < 16) then
         Alcotest.failf "workers=%d: peak live %d should be O(width), nodes=%d" workers
           r.Parallel.peak_live_values nodes;
@@ -263,7 +265,6 @@ let test_release_keeps_peak_live_small () =
         (nodes - 1) (* all nodes except the single input *)
         (List.length r.Parallel.timings.Executor.per_node))
     [ 1; 4 ];
-  let e = Executor.prepare ~ignore_security:true ~log_n:10 c bindings in
   let s = Executor.run_graph e c in
   Alcotest.(check bool) "sequential peak live O(width)" true (s.Executor.peak_live_values < 16)
 
@@ -280,7 +281,8 @@ let test_parallel_propagates_failure () =
   let bindings = [ ("x", Reference.Vec [| 0.5 |]); ("y", Reference.Vec [| 0.5 |]) ] in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Parallel.execute ~ignore_security:true ~log_n:10 ~workers:2 compiled bindings);
+       let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled bindings in
+       ignore (Parallel.execute_on ~workers:2 engine compiled);
        false
      with Eva_diag.Diag.Error d -> d.Eva_diag.Diag.code = Eva_diag.Diag.crypto_scale)
 
@@ -303,11 +305,29 @@ let test_parallel_midgraph_failure_no_deadlock () =
   let bindings = [ ("x", Reference.Vec [| 0.5 |]); ("y", Reference.Vec [| 0.5 |]) ] in
   Alcotest.(check bool) "raises without deadlock" true
     (try
-       ignore (Parallel.execute ~ignore_security:true ~log_n:10 ~workers:4 compiled bindings);
+       let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled bindings in
+       ignore (Parallel.execute_on ~workers:4 engine compiled);
        false
      with Eva_diag.Diag.Error d ->
        (* the scheme-layer mismatch, anchored to the failing node *)
        d.Eva_diag.Diag.code = Eva_diag.Diag.crypto_scale && d.Eva_diag.Diag.node_id <> None)
+
+(* Mini-LeNet end to end at log N 10 under the calibrated cost-model
+   priority: 2 workers decrypt bit-identically to 1 — the schedule is
+   the only thing the worker count may change. *)
+let test_mini_lenet_workers_bit_identical () =
+  let module N = Eva_tensor.Network in
+  let net = Eva_tensor.Networks.mini_lenet in
+  let weights = N.random_weights net ~seed:1 in
+  let lowered = N.lower ~mode:`Eva ~scales:(Eva_tensor.Networks.scales_for net) net weights in
+  let compiled = Compile.run ~policy:Eva_core.Passes.Eva lowered.N.program in
+  let size = net.N.input_channels * net.N.input_height * net.N.input_width in
+  let image = Array.init size (fun i -> Float.sin (float_of_int i)) in
+  let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled (N.bindings lowered image) in
+  let costs = Cost.program_costs ~log_n:10 (Cost.calibrate ~log_n:10 ()) compiled in
+  let cost n = Option.value (Hashtbl.find_opt costs n.Ir.id) ~default:0.0 in
+  let run workers = (Parallel.execute_on ~cost ~workers engine compiled).Parallel.outputs in
+  Alcotest.(check bool) "2 workers = 1 worker" true (run 2 = run 1)
 
 let prop_makespan_bounds_random =
   QCheck2.Test.make ~name:"makespan bounds on random DAGs" ~count:40 QCheck2.Gen.(int_range 0 100000)
@@ -358,6 +378,8 @@ let () =
           Alcotest.test_case "release keeps peak live small" `Quick test_release_keeps_peak_live_small;
           Alcotest.test_case "propagates failure" `Quick test_parallel_propagates_failure;
           Alcotest.test_case "mid-graph failure no deadlock" `Quick test_parallel_midgraph_failure_no_deadlock;
+          Alcotest.test_case "mini-LeNet 1 vs 2 workers bit-identical" `Quick
+            test_mini_lenet_workers_bit_identical;
         ] );
       ("property", [ qt prop_makespan_bounds_random ]);
     ]

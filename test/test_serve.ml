@@ -82,7 +82,7 @@ let test_pipelined_matches_sequential () =
           ~reset_cache:false replay_engine c
           [ ("x", Reference.Vec (request_x id)) ]
       in
-      let expected, _ = Executor.run_on e c in
+      let expected, _ = Executor.decode e (Executor.run_graph e c) in
       check_bit_exact (Printf.sprintf "request %d (pipeline 2)" id) expected (outputs_of pipelined id);
       check_bit_exact (Printf.sprintf "request %d (inline)" id) expected (outputs_of inline id))
     ids
@@ -583,7 +583,8 @@ let test_chaos_soak () =
           Executor.rebind ~seed:(Serve.request_seed config id) ~reset_cache:false replay_engine c
             [ ("x", Reference.Vec (chaos_x id)) ]
         in
-        check_bit_exact (Printf.sprintf "request %d" id) (fst (Executor.run_on e c)) outputs
+        let expected, _ = Executor.decode e (Executor.run_graph e c) in
+        check_bit_exact (Printf.sprintf "request %d" id) expected outputs
     | _ -> ()
   done;
   let lat = Serve.latencies_ms daemon in

@@ -15,7 +15,10 @@
       program served in one 8-wide batch is bit-identical to a direct
       [rebind_batched] replay, member by member;
    6. the rewritten graph prices under the Cost/Makespan models like
-      any other compiled program. *)
+      any other compiled program;
+   7. on the naive scalar programs (a 64-element dot product, a
+      16-element polynomial) packing fires, the dot product needs >= 8x
+      fewer input ciphertexts, and both pipelines decrypt accurately. *)
 
 module B = Eva_core.Builder
 module Ir = Eva_core.Ir
@@ -313,7 +316,7 @@ let test_batch8_bit_identical_replay () =
       (engine ()) cb
       (Array.of_list (List.map member_bindings ids))
   in
-  let outputs, _ = Executor.run_on e cb in
+  let outputs, _ = Executor.decode e (Executor.run_graph e cb) in
   List.iteri
     (fun b id ->
       let direct =
@@ -356,6 +359,51 @@ let test_cost_models_price_vectorized () =
     (s.Makespan.makespan >= s.Makespan.critical_path -. 1e-9
     && s.Makespan.makespan <= s.Makespan.work +. 1e-9)
 
+(* --- 7. packing gates on the naive scalar programs -------------------- *)
+
+(* A k = 64 scalar dot product (vec_size 1: one ciphertext per element)
+   and a 16-element polynomial 0.5x^2 + x. Packing must fire for both,
+   cut the dot product's Cipher inputs >= 8x, and both the naive and the
+   packed pipeline must decrypt within 0.05 of Reference at log N 9. *)
+let test_packing_gates () =
+  let st = Random.State.make [| 53 |] in
+  let scalars names = List.map (fun n -> (n, Reference.Scal (Random.State.float st 2.0 -. 1.0))) names in
+  let cipher_inputs c =
+    List.length
+      (List.filter
+         (fun n -> match n.Ir.op with Ir.Input (Ir.Cipher, _) -> true | _ -> false)
+         (Ir.inputs c.Compile.program))
+  in
+  let gate name p bindings =
+    let run vectorize =
+      let c = Compile.run ~vectorize p in
+      let r = Executor.execute ~seed:11 ~ignore_security:true ~log_n:9 c bindings in
+      let err = Executor.max_abs_error r.Executor.outputs (Reference.execute p bindings) in
+      if not (err < 0.05) then Alcotest.failf "%s (vectorize %b): max err %.3g" name vectorize err;
+      c
+    in
+    let naive = run false and packed = run true in
+    Alcotest.(check bool) (name ^ ": packing fires") true (packed.Compile.packing <> None);
+    (cipher_inputs naive, cipher_inputs packed)
+  in
+  let k = 64 in
+  let b = B.create ~name:"sdot64" ~vec_size:1 () in
+  let name v i = Printf.sprintf "%s%d" v i in
+  let term i = B.mul (B.input b ~scale:30 (name "x" i)) (B.input b ~scale:30 (name "y" i)) in
+  B.output b "dot" ~scale:30 (List.fold_left B.add (term 0) (List.init (k - 1) (fun i -> term (i + 1))));
+  let dot_bindings = scalars (List.init k (name "x") @ List.init k (name "y")) in
+  let naive, packed = gate "dot64" (B.program b) dot_bindings in
+  if naive < 8 * packed then Alcotest.failf "dot64 input ciphertexts %d -> %d (< 8x)" naive packed;
+  let m = 16 in
+  let b = B.create ~name:"spoly16" ~vec_size:1 () in
+  let half = B.const_scalar b ~scale:30 0.5 in
+  List.iter
+    (fun i ->
+      let x = B.input b ~scale:30 (name "x" i) in
+      B.output b (name "y" i) ~scale:30 (B.add (B.mul (B.mul x x) half) x))
+    (List.init m Fun.id);
+  ignore (gate "poly16" (B.program b) (scalars (List.init m (name "x"))))
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "vectorize"
@@ -376,4 +424,6 @@ let () =
           Alcotest.test_case "cost and makespan models price the packed graph" `Quick
             test_cost_models_price_vectorized;
         ] );
+      ( "packing gates",
+        [ Alcotest.test_case "dot64 >= 8x fewer inputs, both pipelines within 0.05" `Quick test_packing_gates ] );
     ]
