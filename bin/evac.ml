@@ -243,7 +243,7 @@ let run_cmd =
       no_vectorize =
     reporting (Some path) @@ fun () ->
     let p = load path in
-    let workers = max 1 workers in
+    let workers = max 1 workers and batch = max 1 batch in
     let lanes = apply_pool_workers ~domains:workers pool_workers in
     Pool.reset_stats ();
     let show outputs =
@@ -288,7 +288,8 @@ let run_cmd =
       let seeds = Array.init batch (fun b -> seed + b) in
       let members = Array.map (random_bindings p) seeds in
       let engine = Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c (zero_bindings p) in
-      let r = Parallel.execute_on ~workers (Executor.rebind_batched ~seeds engine c members) c in
+      let engine = Executor.rebind_batched ~encrypt_workers:workers ~seeds engine c members in
+      let r = Parallel.execute_on ~workers engine c in
       Printf.printf "execute: %d lane(s) in one evaluation on %d worker(s), %.3fs (peak live values %d)\n"
         batch workers r.Parallel.timings.Executor.execute_seconds r.Parallel.peak_live_values;
       if stats then show_stats r.Parallel.timings;

@@ -147,9 +147,13 @@ let test_parallel_matches_sequential () =
   let c = Compile.run p in
   let bindings = [ ("x", Reference.Vec (Array.init 16 (fun i -> Float.sin (float_of_int i) /. 2.0))) ] in
   let seq = Executor.execute ~seed:3 ~ignore_security:true ~log_n:10 c bindings in
-  let engine = Executor.prepare ~seed:3 ~ignore_security:true ~log_n:10 c bindings in
   List.iter
     (fun workers ->
+      (* Inputs encrypted on [workers] domains too: ciphertexts must not
+         depend on the encrypt worker count. *)
+      let engine =
+        Executor.prepare ~seed:3 ~ignore_security:true ~log_n:10 ~encrypt_workers:workers c bindings
+      in
       let par = Parallel.execute_on ~workers engine c in
       List.iter
         (fun (name, v) ->
@@ -201,7 +205,9 @@ let test_parallel_random_dags_match_sequential () =
       in
       let bindings = [ ("x", Reference.Vec (Array.init 16 (fun i -> Float.sin (float_of_int i) /. 4.0))) ] in
       let seq = Executor.execute ~seed:7 ~ignore_security:true ~log_n:10 c bindings in
-      let engine = Executor.prepare ~seed:7 ~ignore_security:true ~log_n:10 c bindings in
+      let prepare workers =
+        Executor.prepare ~seed:7 ~ignore_security:true ~log_n:10 ~encrypt_workers:workers c bindings
+      in
       Alcotest.(check (list int))
         (Printf.sprintf "seed=%d sequential covers every instruction once" seed)
         (List.sort compare instructions) (covered seq.Executor.timings);
@@ -218,7 +224,7 @@ let test_parallel_random_dags_match_sequential () =
       in
       List.iter
         (fun workers ->
-          let par = Parallel.execute_on ~workers engine c in
+          let par = Parallel.execute_on ~workers (prepare workers) c in
           check_outputs (Printf.sprintf "workers=%d" workers) par;
           Alcotest.(check bool)
             (Printf.sprintf "seed=%d workers=%d op counts" seed workers)
@@ -232,7 +238,7 @@ let test_parallel_random_dags_match_sequential () =
               ~backoff:(Eva_schedule.Backoff.make ~base_ms:0.01 ~cap_ms:0.1 ~seed:0 ())
               (List.map (fun id -> (id, [ Fault.Fail ])) instructions)
           in
-          let faulted = Parallel.execute_on ~fault ~workers engine c in
+          let faulted = Parallel.execute_on ~fault ~workers (prepare workers) c in
           check_outputs (Printf.sprintf "workers=%d, every node failed once" workers) faulted;
           Alcotest.(check int)
             (Printf.sprintf "seed=%d workers=%d every node retried once" seed workers)
@@ -281,7 +287,9 @@ let test_parallel_propagates_failure () =
   let bindings = [ ("x", Reference.Vec [| 0.5 |]); ("y", Reference.Vec [| 0.5 |]) ] in
   Alcotest.(check bool) "raises" true
     (try
-       let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled bindings in
+       let engine =
+         Executor.prepare ~ignore_security:true ~log_n:10 ~encrypt_workers:2 compiled bindings
+       in
        ignore (Parallel.execute_on ~workers:2 engine compiled);
        false
      with Eva_diag.Diag.Error d -> d.Eva_diag.Diag.code = Eva_diag.Diag.crypto_scale)
@@ -305,14 +313,16 @@ let test_parallel_midgraph_failure_no_deadlock () =
   let bindings = [ ("x", Reference.Vec [| 0.5 |]); ("y", Reference.Vec [| 0.5 |]) ] in
   Alcotest.(check bool) "raises without deadlock" true
     (try
-       let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled bindings in
+       let engine =
+         Executor.prepare ~ignore_security:true ~log_n:10 ~encrypt_workers:4 compiled bindings
+       in
        ignore (Parallel.execute_on ~workers:4 engine compiled);
        false
      with Eva_diag.Diag.Error d ->
        (* the scheme-layer mismatch, anchored to the failing node *)
        d.Eva_diag.Diag.code = Eva_diag.Diag.crypto_scale && d.Eva_diag.Diag.node_id <> None)
 
-(* Mini-LeNet end to end at log N 10 under the calibrated cost-model
+(* Mini-LeNet end to end at log N 10 under the default cost-model
    priority: 2 workers decrypt bit-identically to 1 — the schedule is
    the only thing the worker count may change. *)
 let test_mini_lenet_workers_bit_identical () =
@@ -324,9 +334,7 @@ let test_mini_lenet_workers_bit_identical () =
   let size = net.N.input_channels * net.N.input_height * net.N.input_width in
   let image = Array.init size (fun i -> Float.sin (float_of_int i)) in
   let engine = Executor.prepare ~ignore_security:true ~log_n:10 compiled (N.bindings lowered image) in
-  let costs = Cost.program_costs ~log_n:10 (Cost.calibrate ~log_n:10 ()) compiled in
-  let cost n = Option.value (Hashtbl.find_opt costs n.Ir.id) ~default:0.0 in
-  let run workers = (Parallel.execute_on ~cost ~workers engine compiled).Parallel.outputs in
+  let run workers = (Parallel.execute_on ~workers engine compiled).Parallel.outputs in
   Alcotest.(check bool) "2 workers = 1 worker" true (run 2 = run 1)
 
 let prop_makespan_bounds_random =
