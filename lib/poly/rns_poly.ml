@@ -83,20 +83,37 @@ let check_compat op a b =
   if not (same_modulus a b) then raise (Modulus_mismatch op);
   if a.ntt <> b.ntt then invalid_arg (op ^ ": operands in different forms")
 
-let map2 op f a b =
-  check_compat op a b;
+(* Each pointwise kernel is its own loop over [Rowvec] primitives and
+   local arithmetic: dune's default profile compiles with -opaque, so a
+   closure argument or a cross-module call such as [Modarith.add] would
+   be an indirect call per residue. Corrections are branchless
+   ([x asr 62] is the sign mask) and agree with [Modarith.add]/[sub]/
+   [neg] on reduced inputs. *)
+let add a b =
+  check_compat "add" a b;
   let rows = alloc_rows ~tables:a.tables in
   let n = degree a in
   for_rows a (fun i ->
       let p = Ntt.modulus a.tables.(i) in
       let ra = a.rows.(i) and rb = b.rows.(i) and out = rows.(i) in
       for j = 0 to n - 1 do
-        Rowvec.unsafe_set out j (f (Rowvec.unsafe_get ra j) (Rowvec.unsafe_get rb j) p)
+        let s = Rowvec.unsafe_get ra j + Rowvec.unsafe_get rb j - p in
+        Rowvec.unsafe_set out j (s + (p land (s asr 62)))
       done);
   { tables = a.tables; rows; ntt = a.ntt }
 
-let add a b = map2 "add" Modarith.add a b
-let sub a b = map2 "sub" Modarith.sub a b
+let sub a b =
+  check_compat "sub" a b;
+  let rows = alloc_rows ~tables:a.tables in
+  let n = degree a in
+  for_rows a (fun i ->
+      let p = Ntt.modulus a.tables.(i) in
+      let ra = a.rows.(i) and rb = b.rows.(i) and out = rows.(i) in
+      for j = 0 to n - 1 do
+        let s = Rowvec.unsafe_get ra j - Rowvec.unsafe_get rb j in
+        Rowvec.unsafe_set out j (s + (p land (s asr 62)))
+      done);
+  { tables = a.tables; rows; ntt = a.ntt }
 
 let neg a =
   let rows = alloc_rows ~tables:a.tables in
@@ -105,7 +122,9 @@ let neg a =
       let p = Ntt.modulus a.tables.(i) in
       let ra = a.rows.(i) and out = rows.(i) in
       for j = 0 to n - 1 do
-        Rowvec.unsafe_set out j (Modarith.neg (Rowvec.unsafe_get ra j) p)
+        (* -x + p, except 0 stays 0. *)
+        let s = -Rowvec.unsafe_get ra j in
+        Rowvec.unsafe_set out j (s + (p land (s asr 62)))
       done);
   { a with rows }
 
@@ -144,17 +163,16 @@ let mul_inplace a b =
         Rowvec.unsafe_set ra j (r + (bp land (r asr 62)))
       done)
 
-let iter2_inplace op f a b =
-  check_compat op a b;
+let add_inplace a b =
+  check_compat "add_inplace" a b;
   let n = degree a in
   for_rows a (fun i ->
       let p = Ntt.modulus a.tables.(i) in
       let ra = a.rows.(i) and rb = b.rows.(i) in
       for j = 0 to n - 1 do
-        Rowvec.unsafe_set ra j (f (Rowvec.unsafe_get ra j) (Rowvec.unsafe_get rb j) p)
+        let s = Rowvec.unsafe_get ra j + Rowvec.unsafe_get rb j - p in
+        Rowvec.unsafe_set ra j (s + (p land (s asr 62)))
       done)
-
-let add_inplace a b = iter2_inplace "add_inplace" Modarith.add a b
 
 let mul_acc acc a b =
   if not (acc.ntt && a.ntt && b.ntt) then invalid_arg "Rns_poly.mul_acc: NTT form required";
@@ -269,12 +287,15 @@ let galois_rows t g =
       let p = Ntt.modulus w.tables.(i) in
       let row = w.rows.(i) and out = out_rows.(i) in
       for j = 0 to n - 1 do
+        (* X^j -> X^(jg mod 2n) = -X^(jg mod 2n - n) past n. g is odd,
+           so j -> jg mod n is a bijection: every output word is written
+           exactly once, as c or -c, with no accumulation. [hi] is -1
+           iff the exponent wrapped past n. *)
+        let e = j * g land mask in
+        let hi = (n - 1 - e) asr 62 in
         let c = Rowvec.unsafe_get row j in
-        if c <> 0 then begin
-          let e = j * g land mask in
-          if e < n then Rowvec.unsafe_set out e (Modarith.add (Rowvec.unsafe_get out e) c p)
-          else Rowvec.unsafe_set out (e - n) (Modarith.sub (Rowvec.unsafe_get out (e - n)) c p)
-        end
+        let x = (c lxor hi) - hi in
+        Rowvec.unsafe_set out (e - (n land hi)) (x + (p land (x asr 62)))
       done);
   out_rows
 
@@ -322,7 +343,9 @@ let of_small_coeffs ~tables small =
       let p = Ntt.modulus tb in
       let row = rows.(i) in
       for j = 0 to n - 1 do
-        Rowvec.unsafe_set row j (Modarith.reduce small.(j) p)
+        (* |small.(j)| < p: one branchless correction reduces it. *)
+        let x = small.(j) in
+        Rowvec.unsafe_set row j (x + (p land (x asr 62)))
       done)
     tables;
   let t = { tables; rows; ntt = false } in

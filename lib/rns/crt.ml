@@ -2,24 +2,23 @@ module Bigint = Eva_bigint.Bigint
 
 type t = {
   primes : int array;
-  (* inv.(i).(j) for j < i: inverse of primes.(j) modulo primes.(i). *)
-  inv : int array array;
+  (* pmod.(i).(j) for j < i: primes.(j) mod primes.(i). *)
+  pmod : int array array;
+  (* inv_prod.(i): inverse of primes.(0) * ... * primes.(i-1) modulo primes.(i). *)
+  inv_prod : int array;
   modulus : Bigint.t;
-  (* partial.(i) = product of primes.(0..i-1) as a big integer. *)
-  partial : Bigint.t array;
 }
 
 let make prime_list =
   let primes = Array.of_list prime_list in
   let k = Array.length primes in
-  let inv =
-    Array.init k (fun i -> Array.init i (fun j -> Modarith.inv (primes.(j) mod primes.(i)) primes.(i)))
+  let pmod = Array.init k (fun i -> Array.init i (fun j -> primes.(j) mod primes.(i))) in
+  let inv_prod =
+    Array.init k (fun i ->
+        Array.fold_left (fun acc pj -> Modarith.mul acc (Modarith.inv pj primes.(i)) primes.(i)) 1 pmod.(i))
   in
-  let partial = Array.make (k + 1) Bigint.one in
-  for i = 0 to k - 1 do
-    partial.(i + 1) <- Bigint.mul_int partial.(i) primes.(i)
-  done;
-  { primes; inv; modulus = partial.(k); partial = Array.sub partial 0 k }
+  let modulus = Array.fold_left Bigint.mul_int Bigint.one primes in
+  { primes; pmod; inv_prod; modulus }
 
 let primes t = t.primes
 let modulus t = t.modulus
@@ -29,19 +28,18 @@ let reconstruct t residues =
   if Array.length residues <> k then invalid_arg "Crt.reconstruct: arity mismatch";
   (* Garner: digits v.(i) with x = v0 + p0*(v1 + p1*(v2 + ...)). *)
   let v = Array.make k 0 in
+  (* Per-coefficient arithmetic is written out (primes below 2^31 keep
+     every product below 2^62), so the loops make no calls. *)
   for i = 0 to k - 1 do
-    let pi = t.primes.(i) in
+    let pi = t.primes.(i) and pm = t.pmod.(i) in
     (* temp = (residues.(i) - (v0 + p0*(v1 + ...))) * inv(prod_{j<i} pj) mod pi *)
     let acc = ref 0 in
     for j = i - 1 downto 0 do
-      acc := Modarith.add (Modarith.mul !acc (t.primes.(j) mod pi) pi) (v.(j) mod pi) pi
+      acc := ((!acc * pm.(j)) + (v.(j) mod pi)) mod pi
     done;
-    let diff = Modarith.sub (residues.(i) mod pi) !acc pi in
-    let inv_prod = ref 1 in
-    for j = 0 to i - 1 do
-      inv_prod := Modarith.mul !inv_prod t.inv.(i).(j) pi
-    done;
-    v.(i) <- Modarith.mul diff !inv_prod pi
+    let diff = (residues.(i) mod pi) - !acc in
+    let diff = diff + (pi land (diff asr 62)) in
+    v.(i) <- diff * t.inv_prod.(i) mod pi
   done;
   let x = ref Bigint.zero in
   for i = k - 1 downto 0 do

@@ -2,7 +2,13 @@
 
     All moduli handled by the RNS substrate are primes below 2^31, so every
     product of two residues fits in OCaml's 63-bit native [int] and no
-    double-width emulation is needed. *)
+    double-width emulation is needed.
+
+    These are the scalar forms. Per-residue loops in other modules spell
+    the same arithmetic out inline instead of calling them: under dune's
+    default [-opaque] profile each cross-module call here is an indirect
+    [caml_applyN]. The kernels are tested word for word against these
+    functions. *)
 
 (** [add a b m] for [0 <= a, b < m]. *)
 val add : int -> int -> int -> int

@@ -33,7 +33,7 @@ let make ~n p =
   let pow_table root =
     let t = Array.make n 1 in
     for i = 1 to n - 1 do
-      t.(i) <- Modarith.mul t.(i - 1) root p
+      t.(i) <- t.(i - 1) * root mod p
     done;
     let r = Array.make n 0 in
     for i = 0 to n - 1 do

@@ -18,11 +18,16 @@ val make : int -> t
     wholesale). *)
 val create : int -> t
 
-val length : t -> int
-val get : t -> int -> int
-val set : t -> int -> int -> unit
-val unsafe_get : t -> int -> int
-val unsafe_set : t -> int -> int -> unit
+(** Element access is declared [external] so that every call site, in
+    any module, compiles to an inline load or store even under
+    [-opaque] (dune's default profile); [get]/[set] bounds-check and
+    raise [Invalid_argument], the [unsafe_] forms do not. *)
+
+external length : t -> int = "%caml_ba_dim_1"
+external get : t -> int -> int = "%caml_ba_ref_1"
+external set : t -> int -> int -> unit = "%caml_ba_set_1"
+external unsafe_get : t -> int -> int = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 
 (** [sub v off len] is a zero-copy view sharing [v]'s storage. *)
 val sub : t -> int -> int -> t

@@ -225,6 +225,84 @@ let prop_mul_distributes =
       Rp.to_ntt c;
       ints_of_poly (Rp.mul a (Rp.add b c)) = ints_of_poly (Rp.add (Rp.mul a b) (Rp.mul a c)))
 
+(* {2 Written-out kernels vs the scalar reference}
+
+   add, sub, neg, add_inplace and the coefficient-domain automorphism are
+   branchless loops rather than maps over [Modarith]; each must equal the
+   scalar [Modarith] result word for word, edge residues 0 and p-1
+   included, at every prime of a chain whose modulus elements are two
+   primes each. *)
+module M = Eva_rns.Modarith
+module Rv = Eva_rns.Rowvec
+module Ctx = Eva_ckks.Context
+
+let two_prime_chain =
+  lazy
+    (let ctx = Ctx.make ~ignore_security:true ~n:64 ~data_bits:[ 60; 60 ] ~special_bits:[ 60 ] () in
+     assert (Array.for_all (fun (_, count) -> count = 2) (Ctx.element_prime_ranges ctx));
+     Ctx.full_tables ctx)
+
+(* Half the words are 0, 1, p-2 or p-1, so every edge pairing occurs. *)
+let edge_row st tb =
+  let p = Ntt.modulus tb in
+  Rv.init (Ntt.size tb) (fun _ ->
+      match Random.State.int st 8 with
+      | 0 -> 0
+      | 1 -> 1
+      | 2 -> p - 2
+      | 3 -> p - 1
+      | _ -> Random.State.int st p)
+
+let edge_poly st ~tables = Rp.of_ntt_rows ~tables (Array.map (edge_row st) tables)
+
+let galois_reference row p g =
+  let n = Rv.length row in
+  let out = Array.make n 0 in
+  for j = 0 to n - 1 do
+    let c = Rv.get row j and e = j * g mod (2 * n) in
+    if e < n then out.(e) <- M.add out.(e) c p else out.(e - n) <- M.sub out.(e - n) c p
+  done;
+  out
+
+let prop_kernels_match_modarith =
+  QCheck2.Test.make ~name:"add/sub/neg/add_inplace/galois match scalar Modarith" ~count:30
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let tables = Lazy.force two_prime_chain in
+      let n = Ntt.size tables.(0) in
+      let st = Random.State.make [| seed; 81 |] in
+      let a = edge_poly st ~tables and b = edge_poly st ~tables in
+      let check what ~got want =
+        Array.iteri
+          (fun i tb ->
+            let p = Ntt.modulus tb in
+            let w = want i p and g = (Rp.rows got).(i) in
+            for j = 0 to n - 1 do
+              if Rv.get g j <> w.(j) then
+                QCheck2.Test.fail_reportf "%s: prime %d word %d is %d, want %d" what p j (Rv.get g j) w.(j)
+            done)
+          tables
+      in
+      let pointwise f i p = Array.init n (fun j -> f (Rv.get (Rp.rows a).(i) j) (Rv.get (Rp.rows b).(i) j) p) in
+      check "add" ~got:(Rp.add a b) (pointwise M.add);
+      check "sub" ~got:(Rp.sub a b) (pointwise M.sub);
+      check "neg" ~got:(Rp.neg a) (pointwise (fun x _ p -> M.neg x p));
+      let acc = Rp.copy a in
+      Rp.add_inplace acc b;
+      check "add_inplace" ~got:acc (pointwise M.add);
+      (* A coefficient-form operand with edge residues: convert, then
+         overwrite the rows in place. *)
+      let c = edge_poly st ~tables in
+      Rp.to_coeff c;
+      Array.iteri (fun i tb -> Rv.blit (edge_row st tb) (Rp.rows c).(i)) tables;
+      List.iter
+        (fun g ->
+          let got = Rp.galois c g in
+          if Rp.is_ntt got then QCheck2.Test.fail_reportf "galois %d: left coefficient form" g;
+          check (Printf.sprintf "galois %d" g) ~got (fun i p -> galois_reference (Rp.rows c).(i) p g))
+        [ 3; 5; (2 * n) - 1; (2 * Random.State.int st n) + 1 ];
+      true)
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "poly"
@@ -255,6 +333,7 @@ let () =
       ( "property",
         [
           qt prop_mul_matches_schoolbook;
+          qt prop_kernels_match_modarith;
           qt prop_mul_inplace_matches_mul;
           qt prop_mul_acc_matches;
           qt prop_mul_commutative;

@@ -184,18 +184,53 @@ let test_galois_perm_cached () =
   let p4 = Ntt.galois_permutation ta 7 in
   Alcotest.(check bool) "different g differs" false (p1 == p4)
 
+(* Row access is declared as Bigarray primitives: the checked forms must
+   still raise on any out-of-range index (views included) and the
+   unchecked forms must round-trip every native int. *)
+let test_rowvec_access () =
+  let v = Rv.make 8 in
+  Alcotest.(check int) "length" 8 (Rv.length v);
+  let words = [| 0; 1; -1; max_int; min_int; 1073741789; -42; 7 |] in
+  Array.iteri (fun i x -> Rv.unsafe_set v i x) words;
+  Array.iteri (fun i x -> Alcotest.(check int) (Printf.sprintf "unsafe word %d" i) x (Rv.unsafe_get v i)) words;
+  Array.iteri (fun i x -> Alcotest.(check int) (Printf.sprintf "checked word %d" i) x (Rv.get v i)) words;
+  Rv.set v 5 123;
+  Alcotest.(check int) "set then unsafe_get" 123 (Rv.unsafe_get v 5);
+  let w = Rv.sub v 2 4 in
+  Alcotest.(check int) "view length" 4 (Rv.length w);
+  Alcotest.(check int) "view aliases" (Rv.get v 2) (Rv.unsafe_get w 0);
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (name, row, i) ->
+      raises (Printf.sprintf "get %s %d" name i) (fun () -> ignore (Rv.get row i));
+      raises (Printf.sprintf "set %s %d" name i) (fun () -> Rv.set row i 0))
+    [ ("row", v, -1); ("row", v, 8); ("row", v, max_int); ("view", w, 4); ("view", w, -1) ];
+  Alcotest.(check (array int)) "failed sets wrote nothing" [| 0; 1; -1; max_int; min_int; 123; -42; 7 |]
+    (Rv.to_array v)
+
 let test_crt_round_trip () =
-  let primes = [ 1073741789; 1073741783; 536870909 ] in
-  let crt = Crt.make primes in
   let st = Random.State.make [| 3 |] in
-  for _ = 1 to 50 do
-    let residues = Array.of_list (List.map (fun p -> Random.State.int st p) primes) in
-    let x = Crt.reconstruct crt residues in
-    Array.iteri
-      (fun i r -> Alcotest.(check int) "residue" r (B.rem_int x (List.nth primes i)))
-      residues;
-    Alcotest.(check bool) "in range" true (B.compare x (Crt.modulus crt) < 0 && B.sign x >= 0)
-  done
+  List.iter
+    (fun primes ->
+      let crt = Crt.make primes in
+      for _ = 1 to 50 do
+        let residues = Array.of_list (List.map (fun p -> Random.State.int st p) primes) in
+        let x = Crt.reconstruct crt residues in
+        Array.iteri
+          (fun i r -> Alcotest.(check int) "residue" r (B.rem_int x (List.nth primes i)))
+          residues;
+        Alcotest.(check bool) "in range" true (B.compare x (Crt.modulus crt) < 0 && B.sign x >= 0)
+      done)
+    [
+      [ 1073741789; 1073741783; 536870909 ];
+      (* A long chain exercises every (i, j) pair of Garner's precomputed
+         inverse products. *)
+      P.gen_chain ~bit_sizes:(List.init 8 (fun _ -> 30)) ~two_n:2048;
+    ]
 
 let test_crt_centered () =
   let primes = [ 97; 101 ] in
@@ -268,6 +303,7 @@ let () =
           Alcotest.test_case "round trip over a chain" `Quick test_ntt_round_trip_chain;
           Alcotest.test_case "galois permutation cache" `Quick test_galois_perm_cached;
         ] );
+      ("rowvec", [ Alcotest.test_case "checked and unchecked access" `Quick test_rowvec_access ]);
       ( "crt",
         [
           Alcotest.test_case "round trip" `Quick test_crt_round_trip;
