@@ -669,7 +669,6 @@ let batch_bench () =
     !s
   in
   let c = Compile.run p in
-  let zero = [ ("q", Reference.Vec (Array.make vs 0.0)); ("w", Reference.Vec (Array.make vs 0.0)) ] in
   Printf.printf
     "Encrypted dot product, vec %d, N = 2^%d, %d requests; inline daemons\n(pipeline 0), identical seeds, answers asserted against the plaintext\nreference before timing is reported.\n\n"
     vs log_n requests;
@@ -677,7 +676,7 @@ let batch_bench () =
     let extra_rotations =
       if max_batch > 1 then Compile.batch_rotations c ~max_lanes:max_batch else []
     in
-    let engine = Executor.prepare ~seed:1 ~ignore_security:true ~log_n ~extra_rotations c zero in
+    let engine = Executor.keygen ~seed:1 ~ignore_security:true ~log_n ~extra_rotations c in
     let config =
       { Serve.default_config with Serve.pipeline = 0; queue_depth = requests; max_batch }
     in

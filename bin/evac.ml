@@ -177,8 +177,11 @@ let validate_cmd =
 
 (* --- run -------------------------------------------------------------- *)
 
-(* Bind every input of [p] at full width, drawing values in input order. *)
-let bindings_of p draw =
+(* Bind every input of [p] at full width to uniform draws from [-1, 1),
+   in input order. *)
+let random_bindings p seed =
+  let st = Random.State.make [| seed |] in
+  let draw () = Random.State.float st 2.0 -. 1.0 in
   List.filter_map
     (fun n ->
       match n.Ir.op with
@@ -186,14 +189,6 @@ let bindings_of p draw =
       | Ir.Input (_, name) -> Some (name, Reference.Vec (Array.init p.Ir.vec_size (fun _ -> draw ())))
       | _ -> None)
     (Ir.inputs p)
-
-let random_bindings p seed =
-  let st = Random.State.make [| seed |] in
-  bindings_of p (fun () -> Random.State.float st 2.0 -. 1.0)
-
-(* Keygen needs bindings of the right shapes only: the context and keys
-   depend on the program, not the values. *)
-let zero_bindings p = bindings_of p (fun () -> 0.0)
 
 let estimate_cmd =
   (* The estimate must describe the program the user will actually run:
@@ -287,7 +282,7 @@ let run_cmd =
       Format.printf "%a@." Params.pp c.Compile.params;
       let seeds = Array.init batch (fun b -> seed + b) in
       let members = Array.map (random_bindings p) seeds in
-      let engine = Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n c (zero_bindings p) in
+      let engine = Executor.keygen ~seed ~ignore_security:(log_n <> None) ?log_n c in
       let engine = Executor.rebind_batched ~encrypt_workers:workers ~seeds engine c members in
       let r = Parallel.execute_on ~workers engine c in
       Printf.printf "execute: %d lane(s) in one evaluation on %d worker(s), %.3fs (peak live values %d)\n"
@@ -353,10 +348,7 @@ let serve_cmd =
     let slots = 1 lsl (Option.value log_n ~default:c.Compile.params.Params.log_n - 1) in
     let widths = Compile.batch_widths c ~max_batch ~slots in
     let extra_rotations = Compile.batch_rotations c ~max_lanes:(List.fold_left max 1 widths) in
-    let engine =
-      Executor.prepare ~seed ~ignore_security:(log_n <> None) ?log_n ~extra_rotations c
-        (zero_bindings p)
-    in
+    let engine = Executor.keygen ~seed ~ignore_security:(log_n <> None) ?log_n ~extra_rotations c in
     let config =
       {
         Eva_schedule.Serve.default_config with

@@ -1,7 +1,5 @@
-module Bigint = Eva_bigint.Bigint
 module Ntt = Eva_rns.Ntt
 module Primes = Eva_rns.Primes
-module Crt = Eva_rns.Crt
 module Rns_poly = Eva_poly.Rns_poly
 module Diag = Eva_diag.Diag
 
@@ -143,12 +141,24 @@ let encode_complex t ~level ~scale values =
     crypto_error Diag.crypto_context "Context.encode: scale %h is not finite and positive" scale;
   let z = Array.init t.slots (fun i -> values.(i mod len)) in
   Embedding.embed_inverse t.embedding z;
-  let coeffs = Array.make t.n Bigint.zero in
+  let tables = tables_for_level t level in
+  (* SEAL's "encoded values are too large": a coefficient at or beyond
+     half the modulus would wrap to a different value mod Q. *)
+  let half_q = Array.fold_left (fun acc tb -> acc *. float_of_int (Ntt.modulus tb)) 0.5 tables in
+  let coeffs = Array.make t.n 0.0 in
+  let put i x =
+    let c = x *. scale in
+    if not (Float.abs c < half_q) then
+      crypto_error Diag.crypto_context
+        "Context.encode: scaled coefficient %g is not finite or reaches half the level-%d modulus" c
+        level;
+    coeffs.(i) <- c
+  in
   for i = 0 to t.slots - 1 do
-    coeffs.(i) <- Bigint.of_float_scaled (z.(i).Complex.re *. scale) ~log2_scale:0;
-    coeffs.(i + t.slots) <- Bigint.of_float_scaled (z.(i).Complex.im *. scale) ~log2_scale:0
+    put i z.(i).Complex.re;
+    put (i + t.slots) z.(i).Complex.im
   done;
-  let poly = Rns_poly.of_bigint_coeffs ~tables:(tables_for_level t level) coeffs in
+  let poly = Rns_poly.of_float_coeffs ~tables coeffs in
   Rns_poly.to_ntt poly;
   poly
 
@@ -156,14 +166,11 @@ let encode t ~level ~scale values =
   encode_complex t ~level ~scale (Array.map (fun re -> { Complex.re; im = 0.0 }) values)
 
 let decode_complex t ~scale poly =
-  let coeffs = Rns_poly.to_bigint_coeffs poly in
+  let coeffs = Rns_poly.to_float_coeffs poly in
   let inv_scale = 1.0 /. scale in
   let z =
     Array.init t.slots (fun i ->
-        {
-          Complex.re = Bigint.to_float coeffs.(i) *. inv_scale;
-          im = Bigint.to_float coeffs.(i + t.slots) *. inv_scale;
-        })
+        { Complex.re = coeffs.(i) *. inv_scale; im = coeffs.(i + t.slots) *. inv_scale })
   in
   Embedding.embed_forward t.embedding z;
   z

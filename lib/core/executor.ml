@@ -234,8 +234,7 @@ let bind ?workers ~rng ~reset_cache e compiled members =
     pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
   }
 
-let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(extra_rotations = [])
-    compiled bindings =
+let keygen ?(seed = 1) ?(ignore_security = false) ?log_n ?(extra_rotations = []) compiled =
   let vs = compiled.Compile.program.Ir.vec_size in
   let params = compiled.Compile.params in
   let log_n = Option.value log_n ~default:params.Params.log_n in
@@ -264,21 +263,24 @@ let prepare ?(seed = 1) ?(ignore_security = false) ?log_n ?encrypt_workers ?(ext
         (List.sort_uniq compare (List.map (Ctx.galois_elt_rotate ctx) extra_rotations))
   in
   let secret, keyset = Keys.generate ctx rng ~galois_elts in
-  let keyed =
-    {
-      ctx;
-      secret;
-      keyset;
-      rng;
-      vec_size = vs;
-      node_scales = Hashtbl.create 0;
-      pt_cache = fresh_pt_cache ();
-      inputs = [];
-      context_seconds = now () -. t0;
-      encrypt_seconds = 0.0;
-    }
-  in
-  bind ?workers:encrypt_workers ~rng ~reset_cache:false keyed compiled [| bindings |]
+  {
+    ctx;
+    secret;
+    keyset;
+    rng;
+    vec_size = vs;
+    node_scales = Hashtbl.create 0;
+    pt_cache = fresh_pt_cache ();
+    inputs = [];
+    context_seconds = now () -. t0;
+    encrypt_seconds = 0.0;
+  }
+
+(* Binding draws from the RNG that keygen left off, so a prepared
+   engine's ciphertexts are a function of the seed alone. *)
+let prepare ?seed ?ignore_security ?log_n ?encrypt_workers ?extra_rotations compiled bindings =
+  let e = keygen ?seed ?ignore_security ?log_n ?extra_rotations compiled in
+  bind ?workers:encrypt_workers ~rng:e.rng ~reset_cache:false e compiled [| bindings |]
 
 let engine_context_seconds e = e.context_seconds
 let engine_encrypt_seconds e = e.encrypt_seconds
@@ -563,6 +565,21 @@ let run_graph ?(record_per_node = false) ?(interpose = fun _ eval -> eval ()) ?(
   let push n = if not (Hashtbl.mem satellite n.Ir.id) then Fheap.push ready (-.priority n) n in
   let values : (int, value) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun (id, v) -> Hashtbl.replace values id v) e.inputs;
+  (* An engine from [keygen], or one bound to another program, may lack
+     inputs; report them all before any worker starts. *)
+  (match
+     List.filter_map
+       (fun n ->
+         match n.Ir.op with
+         | Ir.Input (_, name) when not (Hashtbl.mem values n.Ir.id) -> Some name
+         | _ -> None)
+       order
+   with
+  | [] -> ()
+  | missing ->
+      Diag.error ~layer:Diag.Execute ~code:Diag.exec_missing_inputs "no bound value for input%s %s"
+        (if List.length missing > 1 then "s" else "")
+        (String.concat ", " (List.map (Printf.sprintf "%S") missing)));
   let remaining = Hashtbl.create 64 and pending = Hashtbl.create 64 in
   let outstanding = ref 0 in
   List.iter

@@ -45,17 +45,27 @@ type value = Ct of Eva_ckks.Eval.ciphertext | Plain of float array
     rotation), and encrypted inputs. *)
 type engine
 
-(** [prepare c bindings] builds the context and keys and encrypts the
-    Cipher inputs. Input encode/encrypt runs on [encrypt_workers]
-    domains (default: the recommended domain count); each input draws a
-    private RNG from the seed sequentially, so ciphertexts do not depend
-    on the worker count. See {!execute} for [seed], [ignore_security],
-    [log_n]. Unbound input names raise one [Eva_diag.Diag.Error]
-    (EVA-E501) listing {e every} missing binding. When [c] carries a
-    vectorization layout ([c.packing]), per-element bindings are first
-    packed into the layout's block-major inputs
-    ({!Vectorize.pack_bindings}) — callers written against the source
-    program's scalar names run unchanged. The bindings are one member:
+(** [keygen c] builds the context and keys for [c] and binds no input:
+    bind with {!rebind} or {!rebind_batched} before {!run_graph}, which
+    raises EVA-E501 on an engine with unbound inputs. Keys are a function
+    of [seed] (default 1), so [keygen] and {!prepare} with the same
+    arguments hold identical keys. See {!execute} for [seed],
+    [ignore_security], [log_n]; [extra_rotations] as in {!prepare}. *)
+val keygen :
+  ?seed:int -> ?ignore_security:bool -> ?log_n:int -> ?extra_rotations:int list ->
+  Compile.compiled -> engine
+
+(** [prepare c bindings] is {!keygen} followed by encrypting the
+    Cipher inputs with the RNG keygen left off. Input encode/encrypt
+    runs on [encrypt_workers] domains (default: the recommended domain
+    count); each input draws a private RNG from the seed sequentially,
+    so ciphertexts do not depend on the worker count. See {!execute}
+    for [seed], [ignore_security], [log_n]. Unbound input names raise
+    one [Eva_diag.Diag.Error] (EVA-E501) listing {e every} missing
+    binding. When [c] carries a vectorization layout ([c.packing]),
+    per-element bindings are first packed into the layout's block-major
+    inputs ({!Vectorize.pack_bindings}) — callers written against the
+    source program's scalar names run unchanged. The bindings are one member:
     on a batched [c] they fill lane 0 and the other lanes are zero
     ({!rebind_batched}). *)
 val prepare :
@@ -132,7 +142,8 @@ type run_stats = {
     the node died ({!run_graph}). *)
 exception Worker_died
 
-(** [run_graph e c] evaluates the graph on a prepared engine: the one
+(** [run_graph e c] evaluates the graph on a prepared engine (an input
+    with no bound value raises EVA-E501 before any work): the one
     node scheduler behind {!execute}, [Parallel.execute_on] and the
     serving tier. [workers] (default 1) domains claim ready
     nodes from a shared list, highest [priority] first (default:

@@ -1,7 +1,5 @@
-module Bigint = Eva_bigint.Bigint
 module Modarith = Eva_rns.Modarith
 module Ntt = Eva_rns.Ntt
-module Crt = Eva_rns.Crt
 module Rowvec = Eva_rns.Rowvec
 module Pool = Eva_pool.Pool
 
@@ -36,18 +34,39 @@ let for_rows t f =
         f i
       done)
 
-let of_bigint_coeffs ~tables coeffs =
+(* Residue of an integral double at or above 2^62 in magnitude: it is
+   exactly m * 2^s with a 53-bit integer m, so its residue is
+   (m mod p) * (2^s mod p) mod p. *)
+let big_residue x p =
+  if not (Float.is_finite x) then invalid_arg "Rns_poly.of_float_coeffs: not finite";
+  let m, e = Float.frexp x in
+  let m = Float.to_int (Float.ldexp m 53) mod p in
+  let m = m + (p land (m asr 62)) in
+  m * Modarith.pow 2 (e - 53) p mod p
+
+(* Each coefficient rounds once (half away from zero); below 2^62 the
+   rounded value is a native int and reduces with one [mod] per prime. *)
+let of_float_coeffs ~tables coeffs =
   let n = Ntt.size tables.(0) in
-  if Array.length coeffs <> n then invalid_arg "Rns_poly.of_bigint_coeffs: wrong degree";
+  if Array.length coeffs <> n then invalid_arg "Rns_poly.of_float_coeffs: wrong degree";
+  let primes = Array.map Ntt.modulus tables in
+  let k = Array.length primes in
   let rows = alloc_rows ~tables in
-  Array.iteri
-    (fun i tb ->
-      let p = Ntt.modulus tb in
-      let row = rows.(i) in
-      for j = 0 to n - 1 do
-        Rowvec.unsafe_set row j (Bigint.rem_int coeffs.(j) p)
-      done)
-    tables;
+  for j = 0 to n - 1 do
+    let x = Float.round (Array.unsafe_get coeffs j) in
+    if Float.abs x < 0x1p62 then begin
+      let v = Float.to_int x in
+      for i = 0 to k - 1 do
+        let p = Array.unsafe_get primes i in
+        let r = v mod p in
+        Rowvec.unsafe_set (Array.unsafe_get rows i) j (r + (p land (r asr 62)))
+      done
+    end
+    else
+      for i = 0 to k - 1 do
+        Rowvec.unsafe_set rows.(i) j (big_residue x primes.(i))
+      done
+  done;
   { tables; rows; ntt = false }
 
 let of_ntt_rows ~tables rows =
@@ -368,11 +387,62 @@ let sample_error st ~tables =
   in
   of_small_coeffs ~tables (Array.init n (fun _ -> cbd ()))
 
-let to_bigint_coeffs t =
-  let w = copy t in
-  to_coeff w;
-  let crt = Crt.make (Array.to_list (primes t)) in
-  let n = degree t in
-  Array.init n (fun j ->
-      let residues = Array.init (num_primes t) (fun i -> Rowvec.get w.rows.(i) j) in
-      Crt.reconstruct_centered crt residues)
+(* Garner's mixed-radix digits v of a coefficient x in [0, Q), with
+   x = v0 + p0*(v1 + p1*(v2 + ...)) and 0 <= vi < pi, decide its sign
+   and give its value without big integers. x is negative (x - Q) when
+   its digits exceed, top digit first, those of (Q+1)/2, which are
+   (p0+1)/2 and then (pi-1)/2. The magnitude Q - x has digits p0 - v0
+   and then pi - 1 - vi. A wrapping native-int Horner over the
+   magnitude's digits is exact below 2^62; a fused float Horner, one
+   rounding per digit, estimates it and stands in above 2^61. *)
+let to_float_coeffs t =
+  let w =
+    if t.ntt then begin
+      let w = copy t in
+      to_coeff w;
+      w
+    end
+    else t
+  in
+  let primes = primes t in
+  let k = Array.length primes and n = degree t in
+  (* pmod.(i).(j) for j < i: primes.(j) mod primes.(i); inv_prod.(i):
+     inverse of primes.(0) * ... * primes.(i-1) modulo primes.(i). *)
+  let pmod = Array.init k (fun i -> Array.init i (fun j -> primes.(j) mod primes.(i))) in
+  let inv_prod =
+    Array.init k (fun i ->
+        Array.fold_left (fun acc pj -> Modarith.mul acc (Modarith.inv pj primes.(i)) primes.(i)) 1 pmod.(i))
+  in
+  let half = Array.mapi (fun i p -> if i = 0 then (p + 1) / 2 else (p - 1) / 2) primes in
+  let top = Array.mapi (fun i p -> if i = 0 then p else p - 1) primes in
+  let v = Array.make k 0 in
+  let out = Array.make n 0.0 in
+  for c = 0 to n - 1 do
+    for i = 0 to k - 1 do
+      let pi = primes.(i) and pm = pmod.(i) in
+      (* (residue - (v0 + p0*(v1 + ...))) * inv(p0 * ... * p(i-1)) mod pi;
+         primes below 2^31 keep every product below 2^62. *)
+      let acc = ref 0 in
+      for j = i - 1 downto 0 do
+        acc := ((!acc * pm.(j)) + (v.(j) mod pi)) mod pi
+      done;
+      let diff = Rowvec.unsafe_get w.rows.(i) c - !acc in
+      let diff = diff + (pi land (diff asr 62)) in
+      v.(i) <- diff * inv_prod.(i) mod pi
+    done;
+    let i = ref (k - 1) in
+    while !i > 0 && v.(!i) = half.(!i) do
+      decr i
+    done;
+    let neg = v.(!i) > half.(!i) in
+    let x = ref 0 and f = ref 0.0 in
+    for i = k - 1 downto 0 do
+      let p = primes.(i) in
+      let d = if neg then top.(i) - v.(i) else v.(i) in
+      x := (!x * p) + d;
+      f := Float.fma !f (float_of_int p) (float_of_int d)
+    done;
+    let m = if !f < 0x1p61 then float_of_int !x else !f in
+    out.(c) <- (if neg then -.m else m)
+  done;
+  out

@@ -22,9 +22,12 @@ exception Modulus_mismatch of string
 (** [zero ~tables] in evaluation form. *)
 val zero : tables:Eva_rns.Ntt.table array -> t
 
-(** [of_bigint_coeffs ~tables c] reduces each signed big-integer coefficient
-    into every prime's residue field (coefficient form). *)
-val of_bigint_coeffs : tables:Eva_rns.Ntt.table array -> Eva_bigint.Bigint.t array -> t
+(** [of_float_coeffs ~tables c] rounds each coefficient to the nearest
+    integer (half away from zero) and reduces it exactly into every
+    prime's residue field (coefficient form). Coefficients of any finite
+    magnitude are reduced exactly; the caller keeps them below half the
+    modulus. Raises [Invalid_argument] on a non-finite coefficient. *)
+val of_float_coeffs : tables:Eva_rns.Ntt.table array -> float array -> t
 
 (** [of_ntt_rows ~tables rows] wraps residue rows already in evaluation
     form; the rows are shared, not copied (used for key-switching keys whose
@@ -101,9 +104,13 @@ val sample_ternary : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 (** Centered-binomial error (sigma ~ 3.2), returned in evaluation form. *)
 val sample_error : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 
-(** Centered coefficients reconstructed over the full modulus;
-    [t] may be in either form (it is restored before returning). *)
-val to_bigint_coeffs : t -> Eva_bigint.Bigint.t array
+(** Centered coefficients over the full modulus Q, in
+    [[-(Q-3)/2, (Q+1)/2]], as floats; [t] may be in either form and is
+    not modified. A coefficient below 2^61 in magnitude is the correctly
+    rounded float of its exact value; above that, on a chain of [k]
+    primes, it is within [(k-1) * 2^-53] relative error (2^-50 up to 8
+    primes). *)
+val to_float_coeffs : t -> float array
 
 (** Structural equality of prime chains. *)
 val same_modulus : t -> t -> bool

@@ -31,7 +31,8 @@ KERNELS = {
         "eva_poly",
         "Rns_poly",
         ["add", "sub", "neg", "mul", "mul_inplace", "add_inplace", "mul_acc", "mul_scalar_int",
-         "rescale_rows_once", "galois_rows", "galois", "of_small_coeffs"],
+         "rescale_rows_once", "galois_rows", "galois", "of_small_coeffs", "of_float_coeffs",
+         "to_float_coeffs"],
     ),
     "lib/ckks/keys.ml": (
         "eva_ckks",

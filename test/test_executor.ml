@@ -158,6 +158,32 @@ let test_missing_input () =
        d.Eva_diag.Diag.code = Eva_diag.Diag.exec_missing_inputs
        && d.Eva_diag.Diag.layer = Eva_diag.Diag.Execute)
 
+(* A [keygen] engine binds nothing: running it reports every unbound
+   input as EVA-E501 at any worker count, and once bound it computes
+   exactly what a [prepare]d engine does (keys depend on the seed only). *)
+let test_keygen_engine () =
+  let b = B.create ~vec_size:16 () in
+  let x = B.input b ~scale:30 "x" and y = B.input b ~scale:30 "y" in
+  B.output b "out" ~scale:30 (B.add (B.mul x y) x);
+  let c = Compile.run (B.program b) in
+  let e = Executor.keygen ~seed:3 ~ignore_security:true ~log_n:10 c in
+  List.iter
+    (fun workers ->
+      match Executor.run_graph ~workers e c with
+      | _ -> Alcotest.failf "unbound engine ran at %d worker(s)" workers
+      | exception Eva_diag.Diag.Error d ->
+          Alcotest.(check int) "EVA-E501" Eva_diag.Diag.exec_missing_inputs d.Eva_diag.Diag.code;
+          Alcotest.(check string) "every unbound input named" "no bound value for inputs \"x\", \"y\""
+            d.Eva_diag.Diag.message)
+    [ 1; 2 ];
+  let bindings = [ ("x", vec 16 (fun i -> float_of_int i /. 16.0)); ("y", vec 16 (fun _ -> 0.5)) ] in
+  let run e =
+    let e = Executor.rebind ~seed:9 e c bindings in
+    List.assoc "out" (fst (Executor.decode e (Executor.run_graph e c)))
+  in
+  let prepared = Executor.prepare ~seed:3 ~ignore_security:true ~log_n:10 c bindings in
+  Alcotest.(check (array (float 0.0))) "keygen + rebind = prepare + rebind" (run prepared) (run e)
+
 (* A scheme-layer failure on the one-worker path is anchored to the node
    that raised it, as at every worker count: the scale-mismatched add
    (node 2) surfaces as EVA-E602 carrying its id, never as a raw scheme
@@ -379,6 +405,7 @@ let () =
           Alcotest.test_case "rebind reuses keys" `Quick test_rebind_reuses_keys;
           Alcotest.test_case "rebind re-aims the engine" `Quick test_rebind_reaims_engine;
           Alcotest.test_case "missing input" `Quick test_missing_input;
+          Alcotest.test_case "keygen engine binds nothing" `Quick test_keygen_engine;
           Alcotest.test_case "failure anchored to its node" `Quick test_failure_anchored_to_node;
           Alcotest.test_case "timings" `Quick test_timings_recorded;
           Alcotest.test_case "op counts" `Quick test_op_counts;

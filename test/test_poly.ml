@@ -1,15 +1,14 @@
 module Rp = Eva_poly.Rns_poly
 module P = Eva_rns.Primes
 module Ntt = Eva_rns.Ntt
-module B = Eva_bigint.Bigint
 
 let make_tables ~n bit_sizes =
   let primes = P.gen_chain ~bit_sizes ~two_n:(2 * n) in
   Array.of_list (List.map (fun p -> Ntt.make ~n p) primes)
 
-let poly_of_ints ~tables ints = Rp.of_bigint_coeffs ~tables (Array.map B.of_int ints)
+let poly_of_ints ~tables ints = Rp.of_float_coeffs ~tables (Array.map float_of_int ints)
 
-let ints_of_poly p = Array.map B.to_int_exn (Rp.to_bigint_coeffs p)
+let ints_of_poly p = Array.map Float.to_int (Rp.to_float_coeffs p)
 
 let n = 16
 let tables () = make_tables ~n [ 25; 25; 24 ]
@@ -17,7 +16,7 @@ let tables () = make_tables ~n [ 25; 25; 24 ]
 let test_zero () =
   let z = Rp.zero ~tables:(tables ()) in
   Alcotest.(check bool) "ntt form" true (Rp.is_ntt z);
-  Alcotest.(check (array string)) "all zero" (Array.make n "0") (Array.map B.to_string (Rp.to_bigint_coeffs z))
+  Alcotest.(check (array int)) "all zero" (Array.make n 0) (ints_of_poly z)
 
 let test_round_trip () =
   let tb = tables () in
@@ -79,12 +78,12 @@ let test_rescale_last () =
   let p_last = Ntt.modulus tb.(2) in
   (* Coefficients that are exact multiples of the dropped prime divide
      exactly. *)
-  let a = Rp.of_bigint_coeffs ~tables:tb (Array.init n (fun i -> B.mul_int (B.of_int (i - 4)) p_last)) in
+  let a = poly_of_ints ~tables:tb (Array.init n (fun i -> (i - 4) * p_last)) in
   let r = Rp.rescale_last a in
   Alcotest.(check int) "primes" 2 (Rp.num_primes r);
   Alcotest.(check (array int)) "divided" (Array.init n (fun i -> i - 4)) (ints_of_poly r);
   (* Non-multiples round to the nearest integer. *)
-  let b = Rp.of_bigint_coeffs ~tables:tb (Array.init n (fun i -> B.add (B.mul_int (B.of_int i) p_last) (B.of_int 3))) in
+  let b = poly_of_ints ~tables:tb (Array.init n (fun i -> (i * p_last) + 3)) in
   let rb = Rp.rescale_last b in
   Alcotest.(check (array int)) "rounded" (Array.init n (fun i -> i)) (ints_of_poly rb)
 
@@ -140,17 +139,13 @@ let test_sampling () =
   let tb = tables () in
   let st = Random.State.make [| 5 |] in
   let t = Rp.sample_ternary st ~tables:tb in
-  Array.iter
-    (fun c -> Alcotest.(check bool) "ternary" true (List.mem (B.to_int_exn c) [ -1; 0; 1 ]))
-    (Rp.to_bigint_coeffs t);
+  Array.iter (fun c -> Alcotest.(check bool) "ternary" true (List.mem c [ -1; 0; 1 ])) (ints_of_poly t);
   let e = Rp.sample_error st ~tables:tb in
-  Array.iter
-    (fun c -> Alcotest.(check bool) "error bounded" true (abs (B.to_int_exn c) <= 21))
-    (Rp.to_bigint_coeffs e)
+  Array.iter (fun c -> Alcotest.(check bool) "error bounded" true (abs c <= 21)) (ints_of_poly e)
 
 (* Schoolbook negacyclic product over the integers; coefficients are
    small enough that native ints are exact, so this is an independent
-   reference for the NTT/Barrett path via to_bigint_coeffs. *)
+   reference for the NTT/Barrett path via to_float_coeffs. *)
 let schoolbook_negacyclic a b =
   let n = Array.length a in
   let r = Array.make n 0 in
@@ -303,6 +298,183 @@ let prop_kernels_match_modarith =
         [ 3; 5; (2 * n) - 1; (2 * Random.State.int st n) + 1 ];
       true)
 
+(* {2 Float coefficient conversions}
+
+   Encoding rounds each double half away from zero and reduces it
+   exactly into every prime; decoding centers Garner's mixed-radix
+   digits. The oracles share no code with either: rounding is spelled
+   out with [Float.trunc], and an integral double is split into base-2^30
+   chunks with exact float arithmetic and reduced by Horner mod p. *)
+let chains =
+  lazy
+    [
+      make_tables ~n [ 30 ];
+      make_tables ~n [ 30; 30 ];
+      make_tables ~n [ 25; 25; 24 ];
+      make_tables ~n (List.init 8 (fun _ -> 30));
+      (* A 7-bit first prime: a float Horner rounds twice below 2^61
+         here, so only the native-int path decodes exactly. *)
+      Array.append [| Ntt.make ~n 97 |] (make_tables ~n [ 30; 30 ]);
+    ]
+
+let half_modulus tables = Array.fold_left (fun acc tb -> acc *. float_of_int (Ntt.modulus tb)) 0.5 tables
+
+let round_half_away x =
+  let t = Float.trunc x in
+  if Float.abs (x -. t) >= 0.5 then t +. Float.copy_sign 1.0 x else t
+
+let residue_oracle x p =
+  let r = round_half_away x in
+  let chunks = ref [] and a = ref (Float.abs r) in
+  while !a > 0.0 do
+    let c = Float.rem !a 0x1p30 in
+    chunks := Float.to_int c :: !chunks;
+    a := (!a -. c) /. 0x1p30
+  done;
+  let m = List.fold_left (fun acc c -> ((acc * (1 lsl 30)) + c) mod p) 0 !chunks in
+  if r < 0.0 then (p - m) mod p else m
+
+(* [xs] in blocks of [n] coefficients, the last block zero-padded. *)
+let blocks xs =
+  let xs = Array.of_list xs in
+  let count = (Array.length xs + n - 1) / n in
+  List.init count (fun b ->
+      Array.init n (fun j -> if (b * n) + j < Array.length xs then xs.((b * n) + j) else 0.0))
+
+let test_encode_matches_oracle () =
+  let st = Random.State.make [| 29 |] in
+  let edges =
+    [ 0.0; 1.0; 0.5; 1.5; 2.5; 3.5; 0x1p51 +. 0.5; 0x1p52 -. 0.5; 0x1p61; 0x1p62 -. 512.0; 0x1p62;
+      0x1p62 +. 1024.0; 0x1p63; 0x1p150 ]
+  in
+  let ties = List.init 40 (fun _ -> float_of_int (Random.State.int st ((1 lsl 30) - 1)) +. 0.5) in
+  let random =
+    List.init 600 (fun i -> Float.ldexp (Random.State.float st 1.0) (i mod 151))
+  in
+  let xs = edges @ ties @ random in
+  let xs = xs @ List.map Float.neg xs in
+  List.iter
+    (fun tables ->
+      List.iter
+        (fun block ->
+          let rows = Rp.rows (Rp.of_float_coeffs ~tables block) in
+          Array.iteri
+            (fun i tb ->
+              let p = Ntt.modulus tb in
+              Array.iteri
+                (fun j x ->
+                  let got = Rv.get rows.(i) j and want = residue_oracle x p in
+                  if got <> want then Alcotest.failf "%h mod %d: got %d, want %d" x p got want)
+                block)
+            tables)
+        (blocks xs))
+    (Lazy.force chains)
+
+let test_decode_exact_below_2_61 () =
+  let st = Random.State.make [| 31 |] in
+  List.iter
+    (fun tables ->
+      (* Negatives reach -(Q-3)/2 only: -(Q-1)/2 is (Q+1)/2 mod Q. *)
+      let limit = Float.min 0x1p61 (half_modulus tables -. 1.0) in
+      let largest = Float.pred limit in
+      let xs =
+        [ 0.0; 1.0; -1.0; Float.round largest; -.Float.round largest ]
+        @ List.init 300 (fun i ->
+              let x = Float.trunc (Random.State.float st (Float.ldexp limit (-(i mod 40)))) in
+              if i land 1 = 0 then x else -.x)
+      in
+      List.iter
+        (fun block ->
+          let p = Rp.of_float_coeffs ~tables block in
+          let check what got =
+            Array.iteri
+              (fun j x ->
+                if got.(j) <> x then
+                  Alcotest.failf "%d primes, %s: %h decoded as %h" (Array.length tables) what x got.(j))
+              block
+          in
+          check "coefficient form" (Rp.to_float_coeffs p);
+          Rp.to_ntt p;
+          check "NTT form" (Rp.to_float_coeffs p))
+        (blocks xs);
+      (* Integers of up to 61 significant bits, set as residues: each
+         decodes to its correctly rounded double. *)
+      for _ = 1 to 20 do
+        let ints =
+          Array.init n (fun j ->
+              let v = Int64.to_int (Random.State.int64 st (Int64.of_float limit)) in
+              if j land 1 = 0 then v else -v)
+        in
+        let p = Rp.of_float_coeffs ~tables (Array.make n 0.0) in
+        Array.iteri
+          (fun i tb ->
+            let pr = Ntt.modulus tb in
+            Array.iteri (fun j v -> Rv.set (Rp.rows p).(i) j (((v mod pr) + pr) mod pr)) ints)
+          tables;
+        let got = Rp.to_float_coeffs p in
+        Array.iteri
+          (fun j v ->
+            if got.(j) <> float_of_int v then
+              Alcotest.failf "%d primes: %d decoded as %h" (Array.length tables) v got.(j))
+          ints
+      done)
+    (Lazy.force chains)
+
+(* Values decode into [-(Q-3)/2, (Q+1)/2]: (Q+1)/2 stays positive and
+   (Q+3)/2 is the first value that wraps to negative. *)
+let test_centering_boundary () =
+  let tables = make_tables ~n [ 20; 20 ] in
+  let q = Array.fold_left (fun acc tb -> acc * Ntt.modulus tb) 1 tables in
+  let cases =
+    [ ((q - 1) / 2, (q - 1) / 2); ((q + 1) / 2, (q + 1) / 2); ((q + 3) / 2, -(q - 3) / 2);
+      (-(q - 1) / 2, (q + 1) / 2); (-(q - 3) / 2, -(q - 3) / 2) ]
+  in
+  let xs = Array.of_list (List.map (fun (x, _) -> float_of_int x) cases) in
+  let got = ints_of_poly (Rp.of_float_coeffs ~tables (Array.append xs (Array.make (n - Array.length xs) 0.0))) in
+  List.iteri (fun j (x, want) -> Alcotest.(check int) (Printf.sprintf "%d decodes" x) want got.(j)) cases;
+  (* Eight primes: the digit comparison decides the sign with Q far
+     beyond native ints. (Q+1)/2, (Q-1)/2 and (Q+3)/2 are inv(2),
+     -inv(2) and 3 inv(2) mod every prime. *)
+  let tables = List.nth (Lazy.force chains) 3 in
+  let p = Rp.of_float_coeffs ~tables (Array.make n 0.0) in
+  Array.iteri
+    (fun i tb ->
+      let pr = Ntt.modulus tb in
+      let inv2 = M.inv 2 pr in
+      List.iteri (fun j r -> Rv.set (Rp.rows p).(i) j r) [ inv2; pr - inv2; 3 * inv2 mod pr ])
+    tables;
+  let got = Rp.to_float_coeffs p in
+  let half = half_modulus tables in
+  List.iteri
+    (fun j sign ->
+      let rel = Float.abs ((got.(j) /. (sign *. half)) -. 1.0) in
+      if rel > 0x1p-48 then Alcotest.failf "8 primes, boundary value %d decoded as %h" j got.(j))
+    [ 1.0; 1.0; -1.0 ]
+
+let test_decode_relative_error_above_2_62 () =
+  let st = Random.State.make [| 37 |] in
+  List.iter
+    (fun tables ->
+      let top = Float.to_int (Float.log2 (half_modulus tables)) in
+      let xs =
+        List.init 400 (fun i ->
+            let e = 62 + Random.State.int st (top - 62) in
+            let x = Float.ldexp (1.0 +. Random.State.float st 1.0) e in
+            if i land 1 = 0 then x else -.x)
+      in
+      List.iter
+        (fun block ->
+          let got = Rp.to_float_coeffs (Rp.of_float_coeffs ~tables block) in
+          Array.iteri
+            (fun j x ->
+              let rel = Float.abs ((got.(j) -. x) /. x) in
+              if rel > 0x1p-50 then
+                Alcotest.failf "%d primes: %h decoded as %h (relative error %g)" (Array.length tables) x
+                  got.(j) rel)
+            block)
+        (blocks xs))
+    (List.filter (fun tables -> half_modulus tables > 0x1p64) (Lazy.force chains))
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "poly"
@@ -330,6 +502,13 @@ let () =
           Alcotest.test_case "composition" `Quick test_galois_composition;
         ] );
       ("sampling", [ Alcotest.test_case "ternary and error" `Quick test_sampling ]);
+      ( "coeffs",
+        [
+          Alcotest.test_case "encode residues match oracle" `Quick test_encode_matches_oracle;
+          Alcotest.test_case "decode exact below 2^61" `Quick test_decode_exact_below_2_61;
+          Alcotest.test_case "centering boundary" `Quick test_centering_boundary;
+          Alcotest.test_case "decode within 2^-50 above 2^62" `Quick test_decode_relative_error_above_2_62;
+        ] );
       ( "property",
         [
           qt prop_mul_matches_schoolbook;

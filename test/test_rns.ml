@@ -2,8 +2,7 @@ module M = Eva_rns.Modarith
 module P = Eva_rns.Primes
 module Ntt = Eva_rns.Ntt
 module Rv = Eva_rns.Rowvec
-module Crt = Eva_rns.Crt
-module B = Eva_bigint.Bigint
+module Rp = Eva_poly.Rns_poly
 
 let test_modarith_basics () =
   let m = 97 in
@@ -212,41 +211,56 @@ let test_rowvec_access () =
   Alcotest.(check (array int)) "failed sets wrote nothing" [| 0; 1; -1; max_int; min_int; 123; -42; 7 |]
     (Rv.to_array v)
 
+(* CRT conversions run through [Rns_poly]'s coefficient conversions on
+   degree-2 polynomials (the smallest NTT ring, so every prime is 1 mod
+   4); coefficient 0 carries the value under test. *)
+let crt_tables primes = Array.of_list (List.map (fun p -> Ntt.make ~n:2 p) primes)
+
+let residues_of tables x =
+  Array.map (fun row -> Rv.get row 0) (Rp.rows (Rp.of_float_coeffs ~tables [| x; 0.0 |]))
+
+let value_of tables residues =
+  let t = Rp.of_float_coeffs ~tables [| 0.0; 0.0 |] in
+  Array.iteri (fun i r -> Rv.set (Rp.rows t).(i) 0 r) residues;
+  (Rp.to_float_coeffs t).(0)
+
 let test_crt_round_trip () =
   let st = Random.State.make [| 3 |] in
   List.iter
     (fun primes ->
-      let crt = Crt.make primes in
+      let tables = crt_tables primes in
+      let half = Array.fold_left (fun acc p -> acc *. float_of_int p) 0.5 (Array.of_list primes) in
       for _ = 1 to 50 do
-        let residues = Array.of_list (List.map (fun p -> Random.State.int st p) primes) in
-        let x = Crt.reconstruct crt residues in
+        (* An integral double below 2^61 in magnitude: decoding is exact. *)
+        let x = Float.trunc (Random.State.float st 0x1p61) in
+        let x = if Random.State.bool st then x else -.x in
+        let residues = residues_of tables x in
         Array.iteri
-          (fun i r -> Alcotest.(check int) "residue" r (B.rem_int x (List.nth primes i)))
+          (fun i r ->
+            let p = List.nth primes i in
+            Alcotest.(check int) "residue" (((Float.to_int x mod p) + p) mod p) r)
           residues;
-        Alcotest.(check bool) "in range" true (B.compare x (Crt.modulus crt) < 0 && B.sign x >= 0)
+        let y = value_of tables residues in
+        Alcotest.(check bool) "in range" true (Float.abs y < half);
+        Alcotest.(check (float 0.0)) "value" x y
       done)
     [
-      [ 1073741789; 1073741783; 536870909 ];
+      [ 1073741789; 1073741741; 536870909 ];
       (* A long chain exercises every (i, j) pair of Garner's precomputed
          inverse products. *)
       P.gen_chain ~bit_sizes:(List.init 8 (fun _ -> 30)) ~two_n:2048;
     ]
 
 let test_crt_centered () =
-  let primes = [ 97; 101 ] in
-  let crt = Crt.make primes in
+  let tables = crt_tables [ 97; 101 ] in
   (* x = -5: residues (92, 96). *)
-  let x = Crt.reconstruct_centered crt [| 92; 96 |] in
-  Alcotest.(check string) "negative recovered" "-5" (B.to_string x);
-  let y = Crt.reconstruct_centered crt [| 5; 5 |] in
-  Alcotest.(check string) "positive recovered" "5" (B.to_string y)
+  Alcotest.(check (float 0.0)) "negative recovered" (-5.0) (value_of tables [| 92; 96 |]);
+  Alcotest.(check (float 0.0)) "positive recovered" 5.0 (value_of tables [| 5; 5 |])
 
 let test_crt_residues () =
-  let primes = [ 97; 101; 103 ] in
-  let crt = Crt.make primes in
-  let x = B.of_int 123456 in
-  let r = Crt.residues crt x in
-  Alcotest.(check (array int)) "residues" [| 123456 mod 97; 123456 mod 101; 123456 mod 103 |] r
+  let tables = crt_tables [ 97; 101; 109 ] in
+  Alcotest.(check (array int))
+    "residues" [| 123456 mod 97; 123456 mod 101; 123456 mod 109 |] (residues_of tables 123456.0)
 
 let prop_ntt_linear =
   QCheck2.Test.make ~name:"NTT is linear" ~count:50
@@ -271,10 +285,9 @@ let prop_garner_random =
   QCheck2.Test.make ~name:"Garner reconstruction vs direct residues" ~count:100
     QCheck2.Gen.(int_range 0 (1 lsl 55))
     (fun v ->
-      let primes = [ 1073741789; 1073741783 ] in
-      let crt = Crt.make primes in
-      let x = B.of_int v in
-      B.equal (Crt.reconstruct crt (Crt.residues crt x)) x)
+      let tables = crt_tables [ 1073741789; 1073741741 ] in
+      let x = float_of_int v in
+      value_of tables (residues_of tables x) = x)
 
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in

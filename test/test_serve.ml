@@ -158,6 +158,35 @@ let test_expired_deadline_is_refused () =
   | Error d -> Alcotest.failf "deadline-free request failed: %s" (Diag.to_string d));
   Alcotest.(check int) "one failed" 1 stats.Serve.requests_failed
 
+(* A slot value whose scaled encoding is not finite (1e300 at scale
+   2^30), or reaches half the modulus (1e12 against one 60-bit element),
+   is that request's EVA-E605: its neighbours are answered correctly and
+   the daemon drains. *)
+let test_out_of_range_value_is_e605 bad () =
+  let b = B.create ~vec_size:8 () in
+  let q = B.input b ~scale:30 "q" in
+  B.output b "y" ~scale:30 (B.add q q);
+  let c = Compile.run (B.program b) in
+  let engine = Executor.keygen ~seed:1 ~ignore_security:true ~log_n:10 c in
+  let results = Hashtbl.create 4 in
+  let respond (r : Wire.response) = Hashtbl.replace results r.Wire.resp_id r.Wire.payload in
+  let t = Serve.start ~config:{ Serve.default_config with Serve.pipeline = 0 } ~respond c engine in
+  List.iteri
+    (fun id x ->
+      Serve.submit t { Wire.req_id = id; deadline_ms = None; req_inputs = [ ("q", Array.make 8 x) ] })
+    [ 1.0; bad; 1.0 ];
+  let stats = Serve.drain t in
+  (match Hashtbl.find_opt results 1 with
+  | Some (Error d) -> Alcotest.(check int) "EVA-E605" Diag.crypto_context d.Diag.code
+  | Some (Ok _) -> Alcotest.failf "q = %g was answered" bad
+  | None -> Alcotest.failf "q = %g never answered" bad);
+  List.iter
+    (fun id ->
+      let y = List.assoc "y" (outputs_of results id) in
+      Array.iter (fun v -> if Float.abs (v -. 2.0) > 1e-3 then Alcotest.failf "request %d: y = %g" id v) y)
+    [ 0; 2 ];
+  Alcotest.(check int) "one failed" 1 stats.Serve.requests_failed
+
 (* --- the wire face ---------------------------------------------------- *)
 
 (* Feed framed payloads (pre-rendered bytes) to run_channels through a
@@ -659,6 +688,10 @@ let () =
           Alcotest.test_case "death beyond budget fails one request" `Quick
             test_death_beyond_budget_fails_one_request;
           Alcotest.test_case "expired deadline refused as E505" `Quick test_expired_deadline_is_refused;
+          Alcotest.test_case "non-finite encoding refused as E605" `Quick
+            (test_out_of_range_value_is_e605 1e300);
+          Alcotest.test_case "wrapping encoding refused as E605" `Quick
+            (test_out_of_range_value_is_e605 1e12);
         ] );
       ( "degradation",
         [
