@@ -561,7 +561,7 @@ let vectorize_bench () =
     assert (err < 0.05);
     let secs =
       time_loop reps (fun () ->
-          let e = Executor.rebind ~seed:12 ~reset_cache:false engine c bindings in
+          let e = Executor.rebind ~seed:12 engine c bindings in
           ignore (Compile.unpack_outputs c (fst (Executor.decode e (Executor.run_graph e c)))))
     in
     (c, s.Executor.op_counts, secs, err)

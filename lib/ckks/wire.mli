@@ -97,7 +97,7 @@ type daemon_stats = {
       (** ciphertext slots spent across executions; occupied / available
           is the daemon's slot utilization *)
   st_pool_efficiency : float;  (** domain-pool busy fraction, [0, 1] *)
-  st_pt_hits : int;  (** plaintext-encode cache hits since start *)
+  st_pt_hits : int;  (** plaintext-encode cache hits since the daemon started *)
   st_pt_misses : int;
 }
 

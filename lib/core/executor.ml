@@ -37,22 +37,21 @@ type result = { outputs : (string * float array) list; timings : timings }
 
 type value = Ct of Eval.ciphertext | Plain of float array
 
-type pt_cache_stats = { mutable hits : int; mutable misses : int; mutable entries : int }
-
 (* One cached encoding. [referenced] is the CLOCK bit: set on every hit,
    cleared when the eviction hand sweeps past — an entry is only evicted
    after surviving a full sweep untouched, so a hot working set is never
    dropped by a cold stream (second-chance eviction). *)
 type pt_entry = { plain : float array; pt : Eval.plaintext; mutable referenced : bool }
 
-(* The mutable cache state is shared between an engine and everything
-   {!rebind}-derived from it (when the cache is kept), so a long-running
-   server warms one cache across requests. All fields are guarded by
-   [pt_lock]. *)
+(* The cache is engine state: [keygen] creates it and every engine bound
+   from it shares it, so each constant is encoded once per (level, scale)
+   for the engine's whole life and the counters run since keygen. All
+   fields are guarded by [lock]. *)
 type pt_cache = {
   table : (int * int * float, pt_entry list) Hashtbl.t;
-  clock : ((int * int * float) * pt_entry) Queue.t;  (** insertion order; the CLOCK hand *)
-  stats : pt_cache_stats;
+  clock : ((int * int * float) * pt_entry) Queue.t;  (** every entry once, in CLOCK-hand order *)
+  mutable hits : int;
+  mutable misses : int;
   lock : Mutex.t;
 }
 
@@ -68,14 +67,6 @@ type engine = {
   context_seconds : float;
   encrypt_seconds : float;
 }
-
-let fresh_pt_cache () =
-  {
-    table = Hashtbl.create 32;
-    clock = Queue.create ();
-    stats = { hits = 0; misses = 0; entries = 0 };
-    lock = Mutex.create ();
-  }
 
 let now = Unix.gettimeofday
 
@@ -195,14 +186,14 @@ let encrypt_inputs ?workers ctx keyset rng ~value_of all_nodes =
 
 (* The one input binder behind [prepare], [rebind] and [rebind_batched].
    It re-aims [e] at [compiled] (its vector width and scale table; same
-   context, keys and, unless [reset_cache], plaintext cache), resolves
-   every member's bindings up front (each member's missing inputs raise
-   EVA-E501 before any encryption work), then encrypts with [rng]:
+   context, keys and plaintext cache), resolves every member's bindings
+   up front (each member's missing inputs raise EVA-E501 before any
+   encryption work), then encrypts with [rng]:
    member [b] fills lane [b] of the program's [lanes] interleaved lanes
    (vectors tiled or zero-padded to the lane width, scalars broadcast)
    and lanes beyond the members are zero. An unbatched program has one
    lane spanning the whole vector. *)
-let bind ?workers ~rng ~reset_cache e compiled members =
+let bind ?workers ~rng e compiled members =
   let members = Array.map (shim compiled) members in
   let p = compiled.Compile.program in
   let vs = p.Ir.vec_size in
@@ -225,14 +216,7 @@ let bind ?workers ~rng ~reset_cache e compiled members =
            else Lazy.force dead_lane))
   in
   let inputs, encrypt_seconds = encrypt_inputs ?workers e.ctx e.keyset rng ~value_of p.Ir.all_nodes in
-  {
-    e with
-    vec_size = vs;
-    node_scales = Analysis.scales p;
-    inputs;
-    encrypt_seconds;
-    pt_cache = (if reset_cache then fresh_pt_cache () else e.pt_cache);
-  }
+  { e with vec_size = vs; node_scales = Analysis.scales p; inputs; encrypt_seconds }
 
 let keygen ?(seed = 1) ?(ignore_security = false) ?log_n ?(extra_rotations = []) compiled =
   let vs = compiled.Compile.program.Ir.vec_size in
@@ -270,7 +254,7 @@ let keygen ?(seed = 1) ?(ignore_security = false) ?log_n ?(extra_rotations = [])
     rng;
     vec_size = vs;
     node_scales = Hashtbl.create 0;
-    pt_cache = fresh_pt_cache ();
+    pt_cache = { table = Hashtbl.create 32; clock = Queue.create (); hits = 0; misses = 0; lock = Mutex.create () };
     inputs = [];
     context_seconds = now () -. t0;
     encrypt_seconds = 0.0;
@@ -280,7 +264,7 @@ let keygen ?(seed = 1) ?(ignore_security = false) ?log_n ?(extra_rotations = [])
    engine's ciphertexts are a function of the seed alone. *)
 let prepare ?seed ?ignore_security ?log_n ?encrypt_workers ?extra_rotations compiled bindings =
   let e = keygen ?seed ?ignore_security ?log_n ?extra_rotations compiled in
-  bind ?workers:encrypt_workers ~rng:e.rng ~reset_cache:false e compiled [| bindings |]
+  bind ?workers:encrypt_workers ~rng:e.rng e compiled [| bindings |]
 
 let engine_context_seconds e = e.context_seconds
 let engine_encrypt_seconds e = e.encrypt_seconds
@@ -289,15 +273,15 @@ let engine_degree e = Ctx.degree e.ctx
 (* With [seed] the fresh inputs are a pure function of (seed, bindings):
    the engine's own RNG is not consulted, so concurrent rebinds from a
    serving loop produce ciphertexts independent of interleaving. *)
-let rebind ?seed ?(reset_cache = true) ?encrypt_workers e compiled bindings =
+let rebind ?seed ?encrypt_workers e compiled bindings =
   let rng = match seed with Some s -> Random.State.make [| s |] | None -> e.rng in
-  bind ?workers:encrypt_workers ~rng ~reset_cache e compiled [| bindings |]
+  bind ?workers:encrypt_workers ~rng e compiled [| bindings |]
 
-let rebind_batched ?(reset_cache = false) ?encrypt_workers ~seeds e compiled members =
+let rebind_batched ?encrypt_workers ~seeds e compiled members =
   if Array.length seeds <> Array.length members then
     Diag.error ~layer:Diag.Execute ~code:Diag.exec_config
       "Executor.rebind_batched: %d seeds for %d members" (Array.length seeds) (Array.length members);
-  bind ?workers:encrypt_workers ~rng:(Random.State.make seeds) ~reset_cache e compiled members
+  bind ?workers:encrypt_workers ~rng:(Random.State.make seeds) e compiled members
 
 (* Slot-space rotation steps of [compiled] whose Galois keys the engine
    is missing — non-empty means [prepare] was not given the
@@ -339,10 +323,7 @@ let floats_bitwise_equal a b =
 
 let pt_cache_counters e =
   let c = e.pt_cache in
-  Mutex.lock c.lock;
-  let r = (c.stats.hits, c.stats.misses) in
-  Mutex.unlock c.lock;
-  r
+  Mutex.protect c.lock (fun () -> (c.hits, c.misses))
 
 (* Evict exactly one entry under the cache lock. The hand pops the
    oldest entry: a set referenced bit buys it one more lap (cleared,
@@ -361,37 +342,32 @@ let evict_one c =
         end
         else begin
           let bucket = List.filter (fun e' -> e' != entry) (Option.value (Hashtbl.find_opt c.table key) ~default:[]) in
-          if bucket = [] then Hashtbl.remove c.table key else Hashtbl.replace c.table key bucket;
-          c.stats.entries <- c.stats.entries - 1
+          if bucket = [] then Hashtbl.remove c.table key else Hashtbl.replace c.table key bucket
         end
   in
   hand (Queue.length c.clock)
 
+(* One locked lookup-and-insert: one hit or one miss per lookup, and a
+   miss encodes under the lock, so one content is never encoded twice. *)
 let encode_cached e plain ~level ~scale =
   let c = e.pt_cache in
-  Mutex.lock c.lock;
   let key = (digest_floats plain, level, scale) in
-  let bucket = Option.value (Hashtbl.find_opt c.table key) ~default:[] in
-  let pt =
-    match List.find_opt (fun e' -> floats_bitwise_equal e'.plain plain) bucket with
-    | Some entry ->
-        c.stats.hits <- c.stats.hits + 1;
-        entry.referenced <- true;
-        entry.pt
-    | None ->
-        c.stats.misses <- c.stats.misses + 1;
-        let pt = Eval.encode e.ctx ~level ~scale plain in
-        if c.stats.entries >= pt_cache_capacity then evict_one c;
-        let entry = { plain = Array.copy plain; pt; referenced = false } in
-        (* Re-read the bucket: the eviction above may have shrunk it. *)
-        let bucket = Option.value (Hashtbl.find_opt c.table key) ~default:[] in
-        Hashtbl.replace c.table key (entry :: bucket);
-        Queue.add (key, entry) c.clock;
-        c.stats.entries <- c.stats.entries + 1;
-        pt
-  in
-  Mutex.unlock c.lock;
-  pt
+  Mutex.protect c.lock (fun () ->
+      let bucket = Option.value (Hashtbl.find_opt c.table key) ~default:[] in
+      match List.find_opt (fun e' -> floats_bitwise_equal e'.plain plain) bucket with
+      | Some entry ->
+          c.hits <- c.hits + 1;
+          entry.referenced <- true;
+          entry.pt
+      | None ->
+          c.misses <- c.misses + 1;
+          let pt = Eval.encode e.ctx ~level ~scale plain in
+          if Queue.length c.clock >= pt_cache_capacity then evict_one c;
+          let entry = { plain = Array.copy plain; pt; referenced = false } in
+          (* Re-read the bucket: the eviction above may have shrunk it. *)
+          Hashtbl.replace c.table key (entry :: Option.value (Hashtbl.find_opt c.table key) ~default:[]);
+          Queue.add (key, entry) c.clock;
+          pt)
 
 let scale_of e n = Float.ldexp 1.0 (Hashtbl.find e.node_scales n.Ir.id)
 

@@ -30,8 +30,10 @@ type timings = {
   execute_seconds : float;
   decrypt_seconds : float;
   per_node : (int * Ir.op * float) list;  (** node id, opcode, seconds *)
-  pt_cache_hits : int;  (** plaintext-encoding cache hits (content-keyed) *)
-  pt_cache_misses : int;
+  pt_cache_hits : int;
+      (** plaintext-encoding cache hits (content-keyed) since {!keygen},
+          over every engine bound from that keygen, not this run alone *)
+  pt_cache_misses : int;  (** misses, counted like [pt_cache_hits] *)
   op_counts : op_counts;
 }
 
@@ -42,7 +44,8 @@ type result = { outputs : (string * float array) list; timings : timings }
 type value = Ct of Eva_ckks.Eval.ciphertext | Plain of float array
 
 (** A prepared engine: context, keys (one Galois key per selected
-    rotation), and encrypted inputs. *)
+    rotation), encrypted inputs, and the content-keyed plaintext-encode
+    cache that {!keygen} creates and every engine bound from it shares. *)
 type engine
 
 (** [keygen c] builds the context and keys for [c] and binds no input:
@@ -79,13 +82,12 @@ val prepare :
     encryption randomness is drawn from a fresh [Random.State] seeded
     with it instead of the engine's shared RNG, so the derived engine is
     a pure function of (seed, bindings) — serving loops use this to make
-    concurrent request preparation deterministic.
-    [reset_cache] (default true) gives the derived engine a fresh
-    plaintext-encode cache; pass [false] to share the parent's cache
-    (and its counters), keeping it warm across requests. Applies the
-    same vectorization binding shim as {!prepare}. *)
+    concurrent request preparation deterministic. The derived engine
+    shares [e]'s plaintext-encode cache, so constants encoded by earlier
+    runs stay warm. Applies the same vectorization binding shim as
+    {!prepare}. *)
 val rebind :
-  ?seed:int -> ?reset_cache:bool -> ?encrypt_workers:int -> engine -> Compile.compiled ->
+  ?seed:int -> ?encrypt_workers:int -> engine -> Compile.compiled ->
   (string * Reference.binding) list -> engine
 
 (** {2 Slot batching}
@@ -111,13 +113,12 @@ val extract_lane : lanes:int -> lane:int -> float array -> float array
     input encodes as one plaintext of the interleaved lanes
     ({!interleave}). [seeds] gives one seed per member (the batch RNG is
     [Random.State.make seeds]); a 1-lane batch is bit-identical to
-    [rebind ~seed]. [reset_cache] defaults to [false] (serving keeps the
-    cache warm). Re-aims the engine at [c] like {!rebind}. Each member's
-    bindings pass through the vectorization shim ({!prepare})
-    independently; each member's missing inputs raise EVA-E501 before
-    any encryption work. *)
+    [rebind ~seed]. Re-aims the engine at [c] and shares its cache like
+    {!rebind}. Each member's bindings pass through the vectorization
+    shim ({!prepare}) independently; each member's missing inputs raise
+    EVA-E501 before any encryption work. *)
 val rebind_batched :
-  ?reset_cache:bool -> ?encrypt_workers:int -> seeds:int array -> engine -> Compile.compiled ->
+  ?encrypt_workers:int -> seeds:int array -> engine -> Compile.compiled ->
   (string * Reference.binding) list array -> engine
 
 (** Slot-space rotation steps of [c] lacking Galois keys in the engine's
@@ -188,8 +189,8 @@ val engine_encrypt_seconds : engine -> float
     size, which may be a [log_n]-overridden test size). *)
 val engine_degree : engine -> int
 
-(** Plaintext-encoding cache counters (hits, misses) accumulated on this
-    engine since {!prepare} (or the last cache-resetting {!rebind}). *)
+(** Plaintext-encoding cache counters (hits, misses) since {!keygen},
+    summed over every engine bound from it. *)
 val pt_cache_counters : engine -> int * int
 
 (** Capacity bound of the plaintext-encode cache, in entries. Beyond it,
@@ -199,7 +200,8 @@ val pt_cache_capacity : int
 
 (** [encode_cached e v ~level ~scale] encodes through the content-keyed
     cache (the path every plaintext operand takes during evaluation).
-    Exposed for cache-behaviour tests; thread-safe. *)
+    Exposed for cache-behaviour tests; thread-safe (lookup, encode and
+    insert run under one lock). *)
 val encode_cached : engine -> float array -> level:int -> scale:float -> Eva_ckks.Eval.plaintext
 
 (** Decrypt (or pass through) an output value. *)

@@ -139,6 +139,7 @@ type t = {
   mutable lat_count : int;  (** total completions; ring index = count mod window *)
   mutable domains : unit Domain.t list;
   pool_base : Pool.stats;  (** global pool counters at daemon start *)
+  pt_base : int * int;  (** the engine's plaintext-cache counters at daemon start *)
 }
 
 let now = Unix.gettimeofday
@@ -501,6 +502,7 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
       lat_count = 0;
       domains = [];
       pool_base = Pool.stats ();
+      pt_base = Executor.pt_cache_counters engine;
     }
   in
   t.domains <- List.init config.pipeline (fun _ -> Domain.spawn (worker t));
@@ -590,9 +592,10 @@ let reject t ~id d =
   Mutex.unlock t.lock
 
 let stats_locked t =
-  let pt_cache_hits, pt_cache_misses = Executor.pt_cache_counters t.engine in
-  (* The pool counters are process-global; report this daemon's share as
-     the delta since [start]. *)
+  (* The pool counters are process-global and the cache counters run
+     since keygen; report this daemon's share of each as the delta since
+     [start]. *)
+  let hits, misses = Executor.pt_cache_counters t.engine and base_hits, base_misses = t.pt_base in
   let lanes = Pool.workers () in
   let now = Pool.stats () and base = t.pool_base in
   let delta =
@@ -612,8 +615,8 @@ let stats_locked t =
     retry_budget_left = t.budget_left;
     responses_dropped = t.dropped;
     queue_high_water = t.high_water;
-    pt_cache_hits;
-    pt_cache_misses;
+    pt_cache_hits = hits - base_hits;
+    pt_cache_misses = misses - base_misses;
     pool_lanes = lanes;
     pool_chunked_calls = delta.Pool.chunked_calls;
     pool_efficiency = Pool.efficiency ~lanes:(max 1 lanes) delta;

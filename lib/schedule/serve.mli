@@ -103,7 +103,7 @@ type stats = {
       (** responses lost because the client's stream broke mid-write;
           the daemon survives and keeps serving other connections *)
   queue_high_water : int;  (** deepest the admission queue ever got *)
-  pt_cache_hits : int;
+  pt_cache_hits : int;  (** the engine's plaintext-cache hits during this daemon *)
   pt_cache_misses : int;
   pool_lanes : int;  (** kernel-pool lanes at drain time *)
   pool_chunked_calls : int;
@@ -147,9 +147,8 @@ type t
     has its response counted as dropped rather than crashing the worker.
     [fault_for id] supplies an optional fault-injection plan for request
     [id] (worker death, transient failures, ... — see {!Fault}); default
-    none. The engine should be prepared with [reset_cache]-stable
-    bindings; requests rebind it per id with {!request_seed} and share
-    its encode cache. *)
+    none. Requests rebind the engine per id with {!request_seed} and
+    share its encode cache. *)
 val start :
   ?config:config ->
   ?fault_for:(int -> Fault.t option) ->

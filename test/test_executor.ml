@@ -266,7 +266,10 @@ let test_plain_operand_passthrough () =
 
 (* The content-keyed plaintext cache: two runs on one engine encode each
    distinct (values, level, scale) plaintext once, so the second run is
-   all hits and the miss count does not grow. *)
+   all hits and the miss count does not grow. The cache is engine state
+   from keygen on: runs on a [rebind] engine (fresh inputs, no seed) and
+   on a [rebind_batched] engine stay warm, and the counters keep counting
+   since keygen. *)
 let test_pt_cache_counters () =
   let b = B.create ~vec_size:16 () in
   let x = B.input b ~scale:30 "x" in
@@ -280,7 +283,65 @@ let test_pt_cache_counters () =
   ignore (Executor.run_graph e c);
   let h2, m2 = Executor.pt_cache_counters e in
   Alcotest.(check int) "second run adds no misses" m1 m2;
-  Alcotest.(check bool) "second run hits" true (h2 > h1)
+  Alcotest.(check bool) "second run hits" true (h2 > h1);
+  let lookups = h2 - h1 in
+  let warm_run what e' ~before =
+    ignore (Executor.run_graph e' c);
+    let h, m = Executor.pt_cache_counters e' in
+    Alcotest.(check (pair int int)) what (before + lookups, m2) (h, m);
+    h
+  in
+  let e_rebound = Executor.rebind e c [ ("x", vec 16 (fun i -> float_of_int i /. 16.0)) ] in
+  let h3 = warm_run "rebind run is all hits" e_rebound ~before:h2 in
+  let e_batched =
+    Executor.rebind_batched ~seeds:[| 7 |] e c [| [ ("x", vec 16 (fun i -> 1.0 -. (float_of_int i /. 16.0))) ] |]
+  in
+  ignore (warm_run "rebind_batched run is all hits" e_batched ~before:h3)
+
+(* Two domains encode overlapping contents at once. Every result must
+   equal a sequential [Eval.encode] bit for bit, every lookup counts
+   exactly once, and a sequential pass afterwards is all hits. *)
+let test_pt_cache_concurrent_encode () =
+  let b = B.create ~vec_size:16 () in
+  let x = B.input b ~scale:30 "x" in
+  B.output b "out" ~scale:30 (B.mul x x);
+  let c = Compile.run (B.program b) in
+  let e = Executor.keygen ~ignore_security:true ~log_n:10 c in
+  let params = c.Compile.params in
+  let ctx =
+    Eva_ckks.Context.make ~ignore_security:true ~n:1024 ~data_bits:params.Eva_core.Params.context_data_bits
+      ~special_bits:params.Eva_core.Params.special_bits ()
+  in
+  let contents = Array.init 24 (fun k -> Array.init 16 (fun i -> float_of_int ((k * 16) + i) /. 512.0)) in
+  let scale = Float.ldexp 1.0 30 in
+  let expected = Array.map (Eva_ckks.Eval.encode ctx ~level:1 ~scale) contents in
+  let same p q =
+    let open Eva_ckks.Eval in
+    let module P = Eva_poly.Rns_poly in
+    p.pt_level = q.pt_level
+    && Int64.bits_of_float p.pt_scale = Int64.bits_of_float q.pt_scale
+    && P.is_ntt p.poly = P.is_ntt q.poly
+    && Array.for_all2 Eva_rns.Rowvec.equal (P.rows p.poly) (P.rows q.poly)
+  in
+  (* Domain 0 walks the contents forwards, domain 1 backwards: they
+     overlap on every content, twice over. *)
+  let n = Array.length contents in
+  let order d = List.init (2 * n) (fun i -> if d = 0 then i mod n else n - 1 - (i mod n)) in
+  let work d () =
+    List.map (fun k -> (k, Executor.encode_cached e contents.(k) ~level:1 ~scale)) (order d)
+  in
+  let other = Domain.spawn (work 1) in
+  let mine = work 0 () in
+  let results = mine @ Domain.join other in
+  List.iter
+    (fun (k, pt) ->
+      if not (same pt expected.(k)) then Alcotest.failf "content %d: cached encoding differs from Eval.encode" k)
+    results;
+  let h1, m1 = Executor.pt_cache_counters e in
+  Alcotest.(check int) "one hit or miss per lookup" (List.length results) (h1 + m1);
+  Array.iter (fun v -> ignore (Executor.encode_cached e v ~level:1 ~scale)) contents;
+  let h2, m2 = Executor.pt_cache_counters e in
+  Alcotest.(check (pair int int)) "sequential pass is all hits" (h1 + n, m1) (h2, m2)
 
 (* Eviction under churn: a serving workload re-encodes a few hot model
    plaintexts on every request while a trickle of one-off vectors flows
@@ -307,6 +368,24 @@ let test_pt_cache_survives_churn () =
      4 * (rounds - 1) hits. The cold one-offs all miss. *)
   Alcotest.(check int) "hot set stays resident" (4 * (rounds - 1)) (h1 - h0);
   Alcotest.(check int) "only first-touch misses" (4 + rounds) (m1 - m0)
+
+(* A plaintext that fails to encode (EVA-E605: too large for the level's
+   modulus) raises to its caller and leaves the cache usable: the
+   failure must not leave the cache lock held. *)
+let test_pt_cache_survives_failed_encode () =
+  let b = B.create ~vec_size:16 () in
+  let x = B.input b ~scale:30 "x" in
+  B.output b "out" ~scale:30 (B.mul x x);
+  let c = Compile.run (B.program b) in
+  let e = Executor.keygen ~ignore_security:true ~log_n:10 c in
+  let scale = Float.ldexp 1.0 30 in
+  (match Executor.encode_cached e (Array.make 16 1e300) ~level:1 ~scale with
+  | _ -> Alcotest.fail "1e300 encoded"
+  | exception Eva_diag.Diag.Error d -> Alcotest.(check int) "E605" 605 d.Eva_diag.Diag.code);
+  let v = Array.init 16 (fun i -> float_of_int i /. 16.0) in
+  ignore (Executor.encode_cached e v ~level:1 ~scale);
+  ignore (Executor.encode_cached e v ~level:1 ~scale);
+  Alcotest.(check (pair int int)) "counters after the failure" (1, 2) (Executor.pt_cache_counters e)
 
 let test_rebind_reuses_keys () =
   (* One keygen, many inputs: rebind must give the same results as fresh
@@ -412,6 +491,8 @@ let () =
           Alcotest.test_case "plain operand passthrough" `Quick test_plain_operand_passthrough;
           Alcotest.test_case "pt cache counters" `Quick test_pt_cache_counters;
           Alcotest.test_case "pt cache survives churn" `Quick test_pt_cache_survives_churn;
+          Alcotest.test_case "pt cache concurrent encode" `Quick test_pt_cache_concurrent_encode;
+          Alcotest.test_case "pt cache survives failed encode" `Quick test_pt_cache_survives_failed_encode;
         ] );
       ("property", [ qt prop_random_end_to_end ]);
     ]

@@ -79,13 +79,33 @@ let test_pipelined_matches_sequential () =
       let e =
         Executor.rebind
           ~seed:(Serve.request_seed cfg id)
-          ~reset_cache:false replay_engine c
+          replay_engine c
           [ ("x", Reference.Vec (request_x id)) ]
       in
       let expected, _ = Executor.decode e (Executor.run_graph e c) in
       check_bit_exact (Printf.sprintf "request %d (pipeline 2)" id) expected (outputs_of pipelined id);
       check_bit_exact (Printf.sprintf "request %d (inline)" id) expected (outputs_of inline id))
     ids
+
+(* A daemon's cache counters are its own: the engine's cache counts since
+   keygen, but [Serve.stats] reports the delta since [start]. Two daemons
+   in sequence on one engine serve the same requests on a program with
+   plaintext constants; the second finds every constant warm (0 misses)
+   and reports the same number of lookups as the first, not the sum. *)
+let test_cache_counters_per_daemon () =
+  let b = B.create ~vec_size:16 () in
+  let x = B.input b ~scale:30 "x" in
+  let m = B.const_vector b ~scale:30 (Array.init 16 (fun i -> if i land 1 = 0 then 1.0 else 0.5)) in
+  B.output b "out" ~scale:30 (B.add (B.mul x m) (B.mul (B.rotate_left x 1) m));
+  let c = Compile.run (B.program b) in
+  let engine = fresh_engine c in
+  let ids = List.init 4 Fun.id in
+  let _, first = serve_all c engine ids in
+  let _, second = serve_all c engine ids in
+  let lookups s = s.Serve.pt_cache_hits + s.Serve.pt_cache_misses in
+  Alcotest.(check bool) "first daemon misses" true (first.Serve.pt_cache_misses > 0);
+  Alcotest.(check int) "second daemon misses" 0 second.Serve.pt_cache_misses;
+  Alcotest.(check int) "same lookups per daemon" (lookups first) (lookups second)
 
 (* One scripted worker death inside one request: the daemon retries that
    request, every answer is still bit-exact, and the retry is counted.
@@ -296,7 +316,7 @@ let test_midgraph_cancel_stops_within_one_node () =
   let c = compiled () in
   let engine = fresh_engine c in
   let e =
-    Executor.rebind ~seed:2 ~reset_cache:false engine c [ ("x", Reference.Vec (request_x 0)) ]
+    Executor.rebind ~seed:2 engine c [ ("x", Reference.Vec (request_x 0)) ]
   in
   let evaluated = ref 0 in
   let interpose _n eval =
@@ -609,7 +629,7 @@ let test_chaos_soak () =
     match Hashtbl.find results id with
     | Ok outputs when id mod 37 = 0 ->
         let e =
-          Executor.rebind ~seed:(Serve.request_seed config id) ~reset_cache:false replay_engine c
+          Executor.rebind ~seed:(Serve.request_seed config id) replay_engine c
             [ ("x", Reference.Vec (chaos_x id)) ]
         in
         let expected, _ = Executor.decode e (Executor.run_graph e c) in
@@ -684,6 +704,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "pipelined == sequential, bit-exact" `Quick test_pipelined_matches_sequential;
+          Alcotest.test_case "cache counters per daemon" `Quick test_cache_counters_per_daemon;
           Alcotest.test_case "worker death retried within budget" `Quick test_worker_death_is_retried;
           Alcotest.test_case "death beyond budget fails one request" `Quick
             test_death_beyond_budget_fails_one_request;
