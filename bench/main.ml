@@ -761,22 +761,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   smoke := List.mem "--smoke" args;
   let args = List.filter (fun a -> a <> "--smoke") args in
-  (* `--pool-workers N` sizes the shared kernel pool for every
-     experiment. *)
-  let args =
-    let rec strip = function
-      | "--pool-workers" :: v :: rest ->
-          (match int_of_string_opt v with
-          | Some w when w >= 0 -> Eva_pool.Pool.set_workers w
-          | _ ->
-              Printf.eprintf "--pool-workers expects a non-negative integer, got %S\n" v;
-              exit 1);
-          strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
-  in
   match args with
   | [] | [ "all" ] ->
       let t0 = Unix.gettimeofday () in

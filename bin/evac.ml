@@ -4,8 +4,8 @@
    evac compile PROGRAM.eva -o OUT.eva [--policy eva|lazy] [--waterline K] [--eager-relin] [--optimize]
    evac validate PROGRAM.eva [--transformed]
    evac estimate PROGRAM.eva [--log-n K] [--magnitude M] [--waterline K] [--eager-relin] [--optimize]
-   evac run PROGRAM.eva [--seed N] [--log-n K] [--reference] [--workers W] [--batch B] [--pool-workers P] [--waterline K] [--eager-relin] [--stats] [--optimize]
-   evac serve PROGRAM.eva [--socket PATH] [--queue-depth D] [--pipeline P] [--workers W] [--pool-workers P] [--shed] [--drain-timeout-ms MS]
+   evac run PROGRAM.eva [--seed N] [--log-n K] [--reference] [--workers W] [--batch B] [--waterline K] [--eager-relin] [--stats] [--optimize]
+   evac serve PROGRAM.eva [--socket PATH] [--queue-depth D] [--pipeline P] [--workers W] [--shed] [--drain-timeout-ms MS]
                           [--deadline-ms MS] [--seed N] [--log-n K] [--waterline K] [--eager-relin] [--optimize]
 *)
 
@@ -21,37 +21,6 @@ module Reference = Eva_core.Reference
 module Executor = Eva_core.Executor
 module Parallel = Eva_schedule.Parallel
 module Diag = Eva_diag.Diag
-module Pool = Eva_pool.Pool
-
-(* One knob for the shared kernel pool (run, serve and the benches take
-   the same flag; the POOL_WORKERS environment variable is the default).
-   [domains] is how many domains the command itself will run kernels
-   from — graph workers, or pipeline x graph workers under serve — so
-   oversubscription (every domain fanning out onto its own lanes would
-   exceed the machine) is pointed out rather than silently thrashing.
-   Caller-runs means a pool of [w] lanes is [w] running threads per
-   submitting domain, not [w + 1]. *)
-let pool_workers_flag =
-  Cmdliner.Arg.(
-    value
-    & opt (some int) None
-    & info [ "pool-workers" ] ~docv:"P"
-        ~doc:
-          "Lanes of the shared kernel pool that residue-row loops (NTT, digit decompose, rescale) \
-           run on. 0 = plain sequential kernels. Defaults to the POOL_WORKERS environment \
-           variable, else 0.")
-
-let apply_pool_workers ~domains pw =
-  Option.iter Pool.set_workers pw;
-  let lanes = Pool.workers () in
-  let cores = Domain.recommended_domain_count () in
-  if domains * max 1 lanes > cores then
-    Printf.eprintf
-      "evac: warning: %d executing domain(s) x %d pool lane(s) oversubscribes this machine's %d \
-       core(s)\n\
-       %!"
-      domains (max 1 lanes) cores;
-  lanes
 
 (* Every command body runs under this reporter: any classified error —
    parse, validation, compilation, wire, execution or scheme-layer —
@@ -234,13 +203,11 @@ let estimate_cmd =
       $ no_vectorize_flag $ batch)
 
 let run_cmd =
-  let run path seed log_n reference workers pool_workers waterline eager_relin stats optimize batch
+  let run path seed log_n reference workers waterline eager_relin stats optimize batch
       no_vectorize =
     reporting (Some path) @@ fun () ->
     let p = load path in
     let workers = max 1 workers and batch = max 1 batch in
-    let lanes = apply_pool_workers ~domains:workers pool_workers in
-    Pool.reset_stats ();
     let show outputs =
       List.iter
         (fun (name, v) ->
@@ -259,17 +226,7 @@ let run_cmd =
         "timings: context %.3fs, encrypt %.3fs, execute %.3fs, decrypt %.3fs (pt-cache %d hits, \
          %d misses)\n"
         t.Executor.context_seconds t.Executor.encrypt_seconds t.Executor.execute_seconds
-        t.Executor.decrypt_seconds t.Executor.pt_cache_hits t.Executor.pt_cache_misses;
-      (* Wall vs cpu-summed kernel time: efficiency well below 1 with
-         many chunked loops means the lanes are starved (oversubscribed
-         or the rows are too short to amortize the handoff). *)
-      let ps = Pool.stats () in
-      Printf.printf
-        "kernel pool: %d lane(s), %d chunked + %d inline loops, parallel efficiency %.0f%% (wall \
-         %.3fs, busy %.3fs)\n"
-        lanes ps.Pool.chunked_calls ps.Pool.inline_calls
-        (100.0 *. Pool.efficiency ~lanes:(max 1 lanes) ps)
-        ps.Pool.wall_seconds ps.Pool.busy_seconds
+        t.Executor.decrypt_seconds t.Executor.pt_cache_hits t.Executor.pt_cache_misses
     in
     if reference then show (Reference.execute p (random_bindings p seed))
     else begin
@@ -319,8 +276,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a program on random inputs under RNS-CKKS")
     Term.(
-      const run $ file_arg $ seed $ log_n $ reference $ workers $ pool_workers_flag $ waterline_flag
-      $ eager_relin_flag $ stats $ optimize_flag $ batch $ no_vectorize_flag)
+      const run $ file_arg $ seed $ log_n $ reference $ workers $ waterline_flag $ eager_relin_flag
+      $ stats $ optimize_flag $ batch $ no_vectorize_flag)
 
 (* --- serve ------------------------------------------------------------ *)
 
@@ -334,13 +291,10 @@ let serve_cmd =
      warm engine. Stdio mode serves one stream on stdin/stdout (stats go
      to stderr so they never corrupt the response stream); socket mode
      binds a Unix socket and serves one stream per accepted connection. *)
-  let run path socket queue_depth pipeline workers pool_workers deadline_ms seed log_n waterline
-      eager_relin optimize no_vectorize shed drain_timeout_ms max_batch batch_linger_ms =
+  let run path socket queue_depth pipeline workers deadline_ms seed log_n waterline eager_relin
+      optimize no_vectorize shed drain_timeout_ms max_batch batch_linger_ms =
     reporting (Some path) @@ fun () ->
     let p = load path in
-    (* Every pipeline domain runs graph workers, and each of those
-       submits kernel loops to the one shared pool. *)
-    ignore (apply_pool_workers ~domains:(max 1 pipeline * workers) pool_workers);
     let c = Compile.run ?waterline ~eager_relin ~optimize ~vectorize:(not no_vectorize) p in
     (* With batching the one keyset must also cover every batched
        variant's rotations (steps scaled by the lane count), at exactly
@@ -389,10 +343,7 @@ let serve_cmd =
           (100.0 *. slot_utilization stats)
           stats.batches_dissolved
           (String.concat "; "
-             (Array.to_list (Array.map string_of_int stats.batch_histogram)));
-      Printf.eprintf
-        "evac serve: kernel pool %d lane(s), %d chunked loops, parallel efficiency %.0f%%\n%!"
-        stats.pool_lanes stats.pool_chunked_calls (100.0 *. stats.pool_efficiency)
+             (Array.to_list (Array.map string_of_int stats.batch_histogram)))
     in
     (* SIGINT/SIGTERM: close admission on the live daemon (arming the
        drain timeout, so in-flight work finishes or is cancelled within
@@ -503,9 +454,11 @@ let serve_cmd =
       value & flag
       & info [ "shed" ]
           ~doc:
-            "Enable overload shedding: requests predicted to miss their deadline (calibrated cost \
-             model) are refused immediately with EVA-E509, and no-deadline requests are shed by \
-             queue-depth watermarks while the daemon is in overload")
+            "Enable overload shedding: requests predicted to miss their deadline are refused \
+             immediately with EVA-E509, and no-deadline requests are shed by queue-depth \
+             watermarks while the daemon is in overload. Until the first request completes, the \
+             prediction uses the cost model's built-in default coefficients, not a calibration on \
+             this machine")
   in
   let drain_timeout_ms =
     Arg.(
@@ -537,9 +490,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Compile and keygen once, then serve framed evaluation requests")
     Term.(
-      const run $ file_arg $ socket $ queue_depth $ pipeline $ workers $ pool_workers_flag
-      $ deadline_ms $ seed $ log_n $ waterline_flag $ eager_relin_flag $ optimize_flag
-      $ no_vectorize_flag $ shed $ drain_timeout_ms $ max_batch $ batch_linger_ms)
+      const run $ file_arg $ socket $ queue_depth $ pipeline $ workers $ deadline_ms $ seed $ log_n
+      $ waterline_flag $ eager_relin_flag $ optimize_flag $ no_vectorize_flag $ shed $ drain_timeout_ms
+      $ max_batch $ batch_linger_ms)
 
 let () =
   let doc = "EVA: encrypted vector arithmetic compiler" in

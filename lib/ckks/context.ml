@@ -18,12 +18,14 @@ type t = {
   data_bit_list : int list;
 }
 
+let element_prime_count bits = if bits <= 30 then 1 else 2
+
 (* An element of more than 30 bits is realized as two primes; each half
    must itself be NTT-friendly-sized, so small halves are raised to the
    minimum (slightly overshooting the requested bits, like SEAL's prime
    lookup does when a window is exhausted). *)
 let split_bits ~min_b bits =
-  if bits <= 30 then [ max min_b bits ]
+  if element_prime_count bits = 1 then [ max min_b bits ]
   else [ max min_b ((bits + 1) / 2); max min_b (bits / 2) ]
 
 let make ?(ignore_security = false) ~n ~data_bits ~special_bits () =

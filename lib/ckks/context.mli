@@ -40,6 +40,13 @@ val tables_for_level : t -> int -> Eva_rns.Ntt.table array
 (** Machine-prime count for the first [level] data elements. *)
 val prime_count_for_level : t -> int -> int
 
+(** [element_prime_count bits]: how many machine primes realize one chain
+    element of [bits] bits — one at 30 bits or fewer, two above. A pure
+    function of the bit size (no tables are built); {!make} splits every
+    element by it, and cost models that price a chain without building a
+    context use it too. *)
+val element_prime_count : int -> int
+
 (** [(first_prime_index, prime_count)] of each data element; key
     switching decomposes ciphertexts with one digit per element. *)
 val element_prime_ranges : t -> (int * int) array

@@ -2,7 +2,6 @@ module Ntt = Eva_rns.Ntt
 module Modarith = Eva_rns.Modarith
 module Rowvec = Eva_rns.Rowvec
 module Rns_poly = Eva_poly.Rns_poly
-module Pool = Eva_pool.Pool
 
 (* Secret key as raw NTT rows over the full chain (data then special). *)
 type secret = { s_rows : Rowvec.t array }
@@ -190,40 +189,35 @@ let decompose ctx ~level c =
   let live = Array.of_list (List.rev !live) in
   let d_buf = Array.make n 0 in
   let digits =
-    (* Elements are sequential (they share [d_buf]); within one element
-       the tm target rows are independent — Garner values [d] are
-       read-only and each row writes only itself — so the row loop, the
-       dominant cost of a key switch (one forward NTT per row), runs on
-       the pool. *)
+    (* Elements share [d_buf]; within one element each of the tm target
+       rows costs one forward NTT, the dominant cost of a key switch. *)
     Array.map
       (fun (_, lo, count) ->
         let d = digit_values_into ~full ~lo ~count w_rows d_buf in
         let out = Array.make tm (Rowvec.create 0) in
-        Pool.parallel_for ~lo:0 ~hi:tm (fun jlo jhi ->
-            for j = jlo to jhi - 1 do
-              if j >= lo && j < lo + count then begin
-                (* The element's own primes: the digit is congruent to the
-                   residue row itself (centering shifts by a multiple of
-                   Q_e). *)
-                let row = if owned then w_rows.(j) else Rowvec.copy w_rows.(j) in
-                Ntt.forward target.(j) row;
-                out.(j) <- row
-              end
-              else begin
-                let p = Ntt.modulus target.(j) in
-                let row = Rowvec.create n in
-                for k = 0 to n - 1 do
-                  (* OCaml [mod] truncates toward zero: normalize the
-                     centered digit's residue into [0, p). A
-                     division-free split-and-Barrett reduction measured
-                     about 20% slower than this divide on a 2-core Xeon. *)
-                  let r = d.(k) mod p in
-                  Rowvec.unsafe_set row k (r + (p land (r asr 62)))
-                done;
-                Ntt.forward target.(j) row;
-                out.(j) <- row
-              end
-            done);
+        for j = 0 to tm - 1 do
+          if j >= lo && j < lo + count then begin
+            (* The element's own primes: the digit is congruent to the
+               residue row itself (centering shifts by a multiple of Q_e). *)
+            let row = if owned then w_rows.(j) else Rowvec.copy w_rows.(j) in
+            Ntt.forward target.(j) row;
+            out.(j) <- row
+          end
+          else begin
+            let p = Ntt.modulus target.(j) in
+            let row = Rowvec.create n in
+            for k = 0 to n - 1 do
+              (* OCaml [mod] truncates toward zero: normalize the centered
+                 digit's residue into [0, p). A division-free
+                 split-and-Barrett reduction measured about 20% slower
+                 than this divide on a 2-core Xeon. *)
+              let r = d.(k) mod p in
+              Rowvec.unsafe_set row k (r + (p land (r asr 62)))
+            done;
+            Ntt.forward target.(j) row;
+            out.(j) <- row
+          end
+        done;
         out)
       live
   in
@@ -263,15 +257,13 @@ let apply_decomposed ?galois ctx key d =
         | None -> digit_rows
         | Some perm ->
             (* Apply the automorphism in the evaluation domain: a pure
-               index permutation per row, into reused scratch; rows are
-               independent, so the gather fans out on the pool. *)
-            Pool.parallel_for ~lo:0 ~hi:tm (fun jlo jhi ->
-                for j = jlo to jhi - 1 do
-                  let src = digit_rows.(j) and dst = d.d_perm_scratch.(j) in
-                  for k = 0 to n - 1 do
-                    Rowvec.unsafe_set dst k (Rowvec.unsafe_get src (Array.unsafe_get perm k))
-                  done
-                done);
+               index permutation per row, into reused scratch. *)
+            for j = 0 to tm - 1 do
+              let src = digit_rows.(j) and dst = d.d_perm_scratch.(j) in
+              for k = 0 to n - 1 do
+                Rowvec.unsafe_set dst k (Rowvec.unsafe_get src (Array.unsafe_get perm k))
+              done
+            done;
             d.d_perm_scratch
       in
       let digit = Rns_poly.of_ntt_rows ~tables:target rows in

@@ -363,7 +363,6 @@ type daemon_stats = {
   st_batch_histogram : int array;
   st_slots_occupied : int;
   st_slots_available : int;
-  st_pool_efficiency : float;
   st_pt_hits : int;
   st_pt_misses : int;
 }
@@ -375,9 +374,9 @@ let stats_probe = "stats?"
 let max_batch_histogram = 4096
 
 let write_stats buf s =
-  Printf.bprintf buf "stats %d %d %d %d %d %h %h %d %d %d %h %d %d %d" s.st_served s.st_failed
+  Printf.bprintf buf "stats %d %d %d %d %d %h %h %d %d %d %d %d %d" s.st_served s.st_failed
     s.st_shed s.st_retried s.st_queue s.st_p50_ms s.st_p99_ms s.st_executions s.st_slots_occupied
-    s.st_slots_available s.st_pool_efficiency s.st_pt_hits s.st_pt_misses
+    s.st_slots_available s.st_pt_hits s.st_pt_misses
     (Array.length s.st_batch_histogram);
   Array.iter (fun n -> Printf.bprintf buf " %d" n) s.st_batch_histogram;
   Buffer.add_char buf '\n'
@@ -402,7 +401,6 @@ let read_stats s ~pos =
   let st_executions = count "execution count" in
   let st_slots_occupied = count "occupied slots" in
   let st_slots_available = count "available slots" in
-  let st_pool_efficiency = quantile "pool efficiency" in
   let st_pt_hits = count "plaintext-cache hits" in
   let st_pt_misses = count "plaintext-cache misses" in
   let buckets = read_int_in s ~pos ~what:"histogram length" ~lo:0 ~hi:max_batch_histogram in
@@ -424,7 +422,6 @@ let read_stats s ~pos =
     st_batch_histogram;
     st_slots_occupied;
     st_slots_available;
-    st_pool_efficiency;
     st_pt_hits;
     st_pt_misses;
   }

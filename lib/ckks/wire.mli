@@ -96,7 +96,6 @@ type daemon_stats = {
   st_slots_available : int;
       (** ciphertext slots spent across executions; occupied / available
           is the daemon's slot utilization *)
-  st_pool_efficiency : float;  (** domain-pool busy fraction, [0, 1] *)
   st_pt_hits : int;  (** plaintext-encode cache hits since the daemon started *)
   st_pt_misses : int;
 }

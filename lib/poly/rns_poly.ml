@@ -1,17 +1,13 @@
 module Modarith = Eva_rns.Modarith
 module Ntt = Eva_rns.Ntt
 module Rowvec = Eva_rns.Rowvec
-module Pool = Eva_pool.Pool
 
 exception Modulus_mismatch of string
 
 (* Residue rows are views into one contiguous r*n Bigarray for every
    polynomial this module allocates itself; [of_ntt_rows] may wrap
    foreign views (key rows spanning a longer chain), so nothing below
-   assumes contiguity — only that distinct rows never alias. Row loops
-   run on the shared domain pool: every kernel chunks over whole rows,
-   each chunk writes only its own rows, so results are bit-identical at
-   every pool size. *)
+   assumes contiguity — only that distinct rows never alias. *)
 type t = {
   tables : Ntt.table array;
   rows : Rowvec.t array; (* rows.(i) is the residue vector mod primes.(i) *)
@@ -27,12 +23,10 @@ let is_ntt t = t.ntt
 let alloc_rows ~tables = Rowvec.alloc_rows ~count:(Array.length tables) ~n:(Ntt.size tables.(0))
 let zero ~tables = { tables; rows = alloc_rows ~tables; ntt = true }
 
-(* Row-parallel skeleton: run [f i] for every prime index on the pool. *)
 let for_rows t f =
-  Pool.parallel_for ~lo:0 ~hi:(Array.length t.rows) (fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
+  for i = 0 to Array.length t.rows - 1 do
+    f i
+  done
 
 (* Residue of an integral double at or above 2^62 in magnitude: it is
    exactly m * 2^s with a 53-bit integer m, so its residue is
@@ -242,41 +236,39 @@ let drop_many t count =
    rounding; mutates [rows] in place and returns one fewer row. The
    inner loop is division-free: the last prime's residue reduces with
    the row's Barrett constant and the fixed inverse multiplies via its
-   Shoup companion. Rows are independent (each reads the shared [last]
-   row and writes its own), so they run on the pool. *)
+   Shoup companion. *)
 let rescale_rows_once tables rows =
   let k = Array.length rows in
   let p_last = Ntt.modulus tables.(k - 1) in
   let last = rows.(k - 1) in
   let half = p_last / 2 in
   let n = Rowvec.length last in
-  Pool.parallel_for ~lo:0 ~hi:(k - 1) (fun lo hi ->
-      for i = lo to hi - 1 do
-        let p = Ntt.modulus tables.(i) in
-        let { Modarith.bp; bmu31; _ } = Ntt.barrett tables.(i) in
-        let p_last_mod = p_last mod p in
-        let inv_last = Modarith.inv p_last_mod p in
-        let inv_s = Modarith.shoup inv_last p in
-        let row = rows.(i) in
-        for j = 0 to n - 1 do
-          (* Centered remainder keeps the rounding error at most 1/2. *)
-          let c_last = Rowvec.unsafe_get last j in
-          let q = (c_last * bmu31) lsr 31 in
-          let v = c_last - (q * bp) - bp in
-          let v = v + (bp land (v asr 62)) - bp in
-          let v = v + (bp land (v asr 62)) in
-          (* Subtract (p_last mod p) exactly when the centered remainder is
-             negative, again branchless: [sel] is -1 iff c_last > half. *)
-          let sel = (half - c_last) asr 62 in
-          let v = v - (p_last_mod land sel) in
-          let v = v + (p land (v asr 62)) in
-          let diff = Rowvec.unsafe_get row j - v in
-          let diff = diff + (p land (diff asr 62)) in
-          let q = (diff * inv_s) lsr 31 in
-          let r = (diff * inv_last) - (q * p) - p in
-          Rowvec.unsafe_set row j (r + (p land (r asr 62)))
-        done
-      done);
+  for i = 0 to k - 2 do
+    let p = Ntt.modulus tables.(i) in
+    let { Modarith.bp; bmu31; _ } = Ntt.barrett tables.(i) in
+    let p_last_mod = p_last mod p in
+    let inv_last = Modarith.inv p_last_mod p in
+    let inv_s = Modarith.shoup inv_last p in
+    let row = rows.(i) in
+    for j = 0 to n - 1 do
+      (* Centered remainder keeps the rounding error at most 1/2. *)
+      let c_last = Rowvec.unsafe_get last j in
+      let q = (c_last * bmu31) lsr 31 in
+      let v = c_last - (q * bp) - bp in
+      let v = v + (bp land (v asr 62)) - bp in
+      let v = v + (bp land (v asr 62)) in
+      (* Subtract (p_last mod p) exactly when the centered remainder is
+         negative, again branchless: [sel] is -1 iff c_last > half. *)
+      let sel = (half - c_last) asr 62 in
+      let v = v - (p_last_mod land sel) in
+      let v = v + (p land (v asr 62)) in
+      let diff = Rowvec.unsafe_get row j - v in
+      let diff = diff + (p land (diff asr 62)) in
+      let q = (diff * inv_s) lsr 31 in
+      let r = (diff * inv_last) - (q * p) - p in
+      Rowvec.unsafe_set row j (r + (p land (r asr 62)))
+    done
+  done;
   Array.sub rows 0 (k - 1)
 
 let rescale_many t count =
@@ -338,8 +330,7 @@ let galois t g =
 let galois_to_coeff t g = { tables = t.tables; rows = galois_rows t g; ntt = false }
 
 (* Sampling draws from one sequential RNG stream, so the draw order (row
-   by row, coefficient by coefficient) is part of the format and never
-   runs on the pool. *)
+   by row, coefficient by coefficient) is part of the format. *)
 let sample_uniform st ~tables =
   let n = Ntt.size tables.(0) in
   let rows = alloc_rows ~tables in

@@ -10,10 +10,9 @@
     chain (compared structurally), mirroring the "same coefficient
     modulus" constraint of RNS-CKKS that the EVA compiler must satisfy.
 
-    Every row loop (NTT round trips, pointwise products, rescale) runs on
-    the shared {!Eva_pool.Pool}: kernels chunk over whole rows and each
-    chunk writes only its own rows, so results are bit-identical at every
-    pool size including zero. *)
+    Every kernel is a plain single-threaded loop over the residue rows;
+    parallelism comes from the graph executor running independent
+    instructions on separate domains, never from inside one kernel. *)
 
 type t
 
@@ -63,8 +62,7 @@ val add_inplace : t -> t -> unit
     NTT form). The caller must own [a]'s rows: in a dataflow executor a
     ciphertext value may be shared between consumers, so only buffers
     created locally (a fresh product, a key-switch output) are safe to
-    overwrite. Ownership is per-buffer, not per-row — pool chunks write
-    disjoint rows, so the contract is unchanged by parallelism. *)
+    overwrite. *)
 val mul_inplace : t -> t -> unit
 
 (** [mul_acc acc a b] adds [a * b] into [acc] (all NTT form). *)

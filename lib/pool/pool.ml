@@ -1,219 +1,1 @@
-(* One shared pool of worker domains for residue-row loops. The design
-   constraints (caller-runs so a size-0 pool still progresses, inline
-   fallback inside workers so nesting never oversubscribes, disjoint
-   chunks so every pool size is bit-exact) are spelled out in the .mli. *)
-
-type job = {
-  j_hi : int;
-  j_chunk : int;
-  j_fn : int -> int -> unit;
-  j_next : int Atomic.t;  (* next unclaimed index *)
-  j_pending : int Atomic.t;  (* chunks not yet finished *)
-  j_lock : Mutex.t;
-  j_done : Condition.t;
-  j_exn : exn option Atomic.t;  (* first chunk exception *)
-  j_busy_ns : int Atomic.t;  (* summed chunk execution time *)
-}
-
-type t = {
-  p_size : int;  (* total lanes, including the caller *)
-  p_lock : Mutex.t;
-  p_work : Condition.t;
-  mutable p_jobs : job list;  (* jobs that may still have unclaimed chunks *)
-  mutable p_closed : bool;
-  mutable p_domains : unit Domain.t list;
-}
-
-let size pool = pool.p_size
-
-let in_worker_key = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get in_worker_key
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-(* Claim and run chunks of [job] until none remain. Chunks are claimed
-   with a fetch-and-add on the shared index, so lanes load-balance
-   automatically; whoever finishes the last chunk wakes the caller. *)
-let run_chunks job =
-  let rec loop () =
-    let start = Atomic.fetch_and_add job.j_next job.j_chunk in
-    if start < job.j_hi then begin
-      let stop = min job.j_hi (start + job.j_chunk) in
-      let t0 = now_ns () in
-      (try job.j_fn start stop
-       with e -> ignore (Atomic.compare_and_set job.j_exn None (Some e)));
-      ignore (Atomic.fetch_and_add job.j_busy_ns (now_ns () - t0));
-      if Atomic.fetch_and_add job.j_pending (-1) = 1 then begin
-        Mutex.lock job.j_lock;
-        Condition.broadcast job.j_done;
-        Mutex.unlock job.j_lock
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
-let rec worker_loop pool =
-  Mutex.lock pool.p_lock;
-  let rec next () =
-    match List.find_opt (fun j -> Atomic.get j.j_next < j.j_hi) pool.p_jobs with
-    | Some _ as found -> found
-    | None ->
-        if pool.p_closed then None
-        else begin
-          Condition.wait pool.p_work pool.p_lock;
-          next ()
-        end
-  in
-  match next () with
-  | None -> Mutex.unlock pool.p_lock
-  | Some job ->
-      Mutex.unlock pool.p_lock;
-      run_chunks job;
-      worker_loop pool
-
-let create ~workers =
-  if workers < 0 then invalid_arg "Pool.create: negative worker count";
-  let pool =
-    {
-      p_size = workers;
-      p_lock = Mutex.create ();
-      p_work = Condition.create ();
-      p_jobs = [];
-      p_closed = false;
-      p_domains = [];
-    }
-  in
-  pool.p_domains <-
-    List.init (max 0 (workers - 1)) (fun _ ->
-        Domain.spawn (fun () ->
-            Domain.DLS.set in_worker_key true;
-            worker_loop pool));
-  pool
-
-let shutdown pool =
-  Mutex.lock pool.p_lock;
-  pool.p_closed <- true;
-  Condition.broadcast pool.p_work;
-  Mutex.unlock pool.p_lock;
-  List.iter Domain.join pool.p_domains;
-  pool.p_domains <- []
-
-(* Process-wide counters (see .mli); nanoseconds as native ints so the
-   hot decrement path never allocates a float. *)
-let chunked_calls = Atomic.make 0
-let inline_calls = Atomic.make 0
-let wall_ns = Atomic.make 0
-let busy_ns = Atomic.make 0
-
-let parallel_for_on pool ?(chunk = 1) ~lo ~hi f =
-  if chunk < 1 then invalid_arg "Pool.parallel_for: chunk must be >= 1";
-  if hi > lo then
-    if pool.p_size <= 0 || hi - lo <= chunk || in_worker () then begin
-      Atomic.incr inline_calls;
-      f lo hi
-    end
-    else begin
-      let t0 = now_ns () in
-      let chunks = (hi - lo + chunk - 1) / chunk in
-      let job =
-        {
-          j_hi = hi;
-          j_chunk = chunk;
-          j_fn = f;
-          j_next = Atomic.make lo;
-          j_pending = Atomic.make chunks;
-          j_lock = Mutex.create ();
-          j_done = Condition.create ();
-          j_exn = Atomic.make None;
-          j_busy_ns = Atomic.make 0;
-        }
-      in
-      Mutex.lock pool.p_lock;
-      pool.p_jobs <- pool.p_jobs @ [ job ];
-      Condition.broadcast pool.p_work;
-      Mutex.unlock pool.p_lock;
-      (* Caller-runs: execute chunks here, then wait only for strays
-         still running on workers. With p_size = 1 this is the whole
-         loop and the wait is a single uncontended lock. *)
-      run_chunks job;
-      Mutex.lock job.j_lock;
-      while Atomic.get job.j_pending > 0 do
-        Condition.wait job.j_done job.j_lock
-      done;
-      Mutex.unlock job.j_lock;
-      Mutex.lock pool.p_lock;
-      pool.p_jobs <- List.filter (fun j -> j != job) pool.p_jobs;
-      Mutex.unlock pool.p_lock;
-      Atomic.incr chunked_calls;
-      ignore (Atomic.fetch_and_add wall_ns (now_ns () - t0));
-      ignore (Atomic.fetch_and_add busy_ns (Atomic.get job.j_busy_ns));
-      match Atomic.get job.j_exn with Some e -> raise e | None -> ()
-    end
-
-(* ------------------------------------------------------------------ *)
-(* The process-global pool                                             *)
-(* ------------------------------------------------------------------ *)
-
-let global : t option Atomic.t = Atomic.make None
-let global_lock = Mutex.create ()
-
-let default_workers () =
-  match Sys.getenv_opt "POOL_WORKERS" with
-  | None -> 0
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> 0)
-
-let get_global () =
-  match Atomic.get global with
-  | Some pool -> pool
-  | None ->
-      Mutex.lock global_lock;
-      let pool =
-        match Atomic.get global with
-        | Some pool -> pool
-        | None ->
-            let pool = create ~workers:(default_workers ()) in
-            Atomic.set global (Some pool);
-            pool
-      in
-      Mutex.unlock global_lock;
-      pool
-
-let set_workers n =
-  if n < 0 then invalid_arg "Pool.set_workers: negative worker count";
-  Mutex.lock global_lock;
-  (match Atomic.get global with Some old -> shutdown old | None -> ());
-  Atomic.set global (Some (create ~workers:n));
-  Mutex.unlock global_lock
-
-let workers () = size (get_global ())
-let parallel_for ?chunk ~lo ~hi f = parallel_for_on (get_global ()) ?chunk ~lo ~hi f
-
-(* ------------------------------------------------------------------ *)
-(* Instrumentation                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type stats = {
-  chunked_calls : int;
-  inline_calls : int;
-  wall_seconds : float;
-  busy_seconds : float;
-}
-
-let stats () =
-  {
-    chunked_calls = Atomic.get chunked_calls;
-    inline_calls = Atomic.get inline_calls;
-    wall_seconds = float_of_int (Atomic.get wall_ns) *. 1e-9;
-    busy_seconds = float_of_int (Atomic.get busy_ns) *. 1e-9;
-  }
-
-let reset_stats () =
-  Atomic.set chunked_calls 0;
-  Atomic.set inline_calls 0;
-  Atomic.set wall_ns 0;
-  Atomic.set busy_ns 0
-
-let efficiency ~lanes s =
-  if s.chunked_calls = 0 || s.wall_seconds <= 0.0 || lanes <= 0 then 1.0
-  else Float.min 1.0 (s.busy_seconds /. (s.wall_seconds *. float_of_int (max 1 lanes)))
+let workers () = 0

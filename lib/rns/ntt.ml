@@ -78,7 +78,7 @@ let compute_galois_permutation t g =
       slot_of_exp.(e'))
 
 (* The permutation depends only on (n, g), not the prime, and a hoisted
-   rotation fan asks for it from every pool worker at once, so the cache
+   rotation fan asks for it from every graph worker at once, so the cache
    must be read without a lock: an atomic holds an immutable map
    snapshot, hits are wait-free, and a miss publishes by compare-and-set
    (losers adopt the winner's entry, so the cached array for a key is

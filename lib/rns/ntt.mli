@@ -38,7 +38,7 @@ val inverse : table -> Rowvec.t -> unit
 
     Results are cached keyed by [(n, g)] (the permutation is independent
     of the prime) in a lock-free snapshot map — hits are wait-free, so
-    a hoisted-rotation fan read from many pool workers never serializes
+    a hoisted-rotation fan read from many graph workers never serializes
     on a lock; the entry for a key is physically unique once published.
     Callers must treat the returned array as read-only. *)
 val galois_permutation : table -> int -> int array

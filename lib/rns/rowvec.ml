@@ -1,6 +1,6 @@
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* Row buffers are malloc'd from the serving thread and from every pool
+(* Row buffers are malloc'd from the serving thread and from every worker
    domain; glibc would give each thread its own arena and RSS would then
    drift with arena fragmentation. One arena keeps freed rows reusable by
    every thread. Runs once, before any domain is spawned. *)

@@ -5,7 +5,7 @@
     contiguous representation the NTT and pointwise kernels run over. A
     polynomial's rows are zero-copy {!sub} views into one contiguous
     [r * n] buffer, so the whole residue matrix is one allocation off
-    the OCaml heap — pool workers touching different rows never share
+    the OCaml heap — worker domains touching different rows never share
     cache lines with the GC, and a future C/SIMD kernel can take the
     base pointer directly. *)
 

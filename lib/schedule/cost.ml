@@ -2,6 +2,7 @@ module Ir = Eva_core.Ir
 module Analysis = Eva_core.Analysis
 module Compile = Eva_core.Compile
 module Params = Eva_core.Params
+module Context = Eva_ckks.Context
 
 type coefficients = { c_linear : float; c_mul : float; c_ntt : float; c_encode : float }
 
@@ -102,23 +103,19 @@ let node_cost ?(polys_of = fun _ -> 2) coeffs ~log_n ~special_primes ~primes_of_
       in
       d +. a
 
+let primes_of_level chain =
+  let prefix = Array.make (List.length chain + 1) 0 in
+  List.iteri (fun i bits -> prefix.(i + 1) <- prefix.(i) + Context.element_prime_count bits) chain;
+  fun level -> prefix.(max 1 (min level (List.length chain)))
+
 let program_costs ?log_n ?(hoist = true) coeffs compiled =
   let p = compiled.Compile.program in
   let params = compiled.Compile.params in
   let log_n = Option.value log_n ~default:params.Params.log_n in
-  let chain = Array.of_list params.Params.context_data_bits in
-  let total_elements = Array.length chain in
-  let primes_per_element = Array.map (fun bits -> if bits <= 30 then 1 else 2) chain in
-  let primes_of_level level =
-    let level = max 1 (min level total_elements) in
-    let acc = ref 0 in
-    for i = 0 to level - 1 do
-      acc := !acc + primes_per_element.(i)
-    done;
-    !acc
-  in
+  let total_elements = List.length params.Params.context_data_bits in
+  let primes_of_level = primes_of_level params.Params.context_data_bits in
   let special_primes =
-    List.fold_left (fun acc b -> acc + if b <= 30 then 1 else 2) 0 params.Params.special_bits
+    List.fold_left (fun acc bits -> acc + Context.element_prime_count bits) 0 params.Params.special_bits
   in
   let chains = Analysis.chains p in
   let ty = Analysis.types p in

@@ -29,6 +29,13 @@ val default_coefficients : coefficients
     four coefficients. *)
 val calibrate : ?log_n:int -> unit -> coefficients
 
+(** [primes_of_level chain level]: machine primes of the first [level]
+    elements (clamped to [\[1, length chain\]]) of a data chain given as
+    element bit sizes, split by {!Eva_ckks.Context.element_prime_count};
+    equals [Context.prime_count_for_level] on the context built from
+    [chain]. [program_costs] prices each node's level with it. *)
+val primes_of_level : int list -> int -> int
+
 (** [program_costs coeffs compiled] precomputes a per-node cost table for
     a compiled program at its selected parameters (or [log_n] override).
     With [hoist] (the default, matching the executors), non-leader

@@ -5,7 +5,6 @@ module Reference = Eva_core.Reference
 module Cancel = Eva_core.Cancel
 module Wire = Eva_ckks.Wire
 module Diag = Eva_diag.Diag
-module Pool = Eva_pool.Pool
 
 (* The serving tier: compile once, keygen once, then stream many
    independent requests through the executor. One daemon owns one
@@ -75,9 +74,6 @@ type stats = {
   queue_high_water : int;
   pt_cache_hits : int;
   pt_cache_misses : int;
-  pool_lanes : int;
-  pool_chunked_calls : int;
-  pool_efficiency : float;
   executions : int;
   batches_dissolved : int;
   batch_histogram : int array;
@@ -138,7 +134,6 @@ type t = {
   lat_ring : float array;
   mutable lat_count : int;  (** total completions; ring index = count mod window *)
   mutable domains : unit Domain.t list;
-  pool_base : Pool.stats;  (** global pool counters at daemon start *)
   pt_base : int * int;  (** the engine's plaintext-cache counters at daemon start *)
 }
 
@@ -171,7 +166,8 @@ let note_exec_time t dt =
   Mutex.unlock t.lock
 
 (* Blended per-execution cost: measured once anything has completed,
-   the calibrated analytic model before that. *)
+   the analytic model at [Cost.default_coefficients] before that (not a
+   per-host calibration; see ROADMAP item 12). *)
 let est_service_s t = if t.ewma_exec_s > 0.0 then t.ewma_exec_s else t.est_model_s
 
 (* Answer one admitted request and account for it. *)
@@ -432,8 +428,9 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
   | _ -> ());
   let ctx_slots = Executor.engine_degree engine / 2 in
   let log_n = int_of_float (Float.round (Float.log2 (float_of_int (Executor.engine_degree engine)))) in
-  (* The calibrated analytic model prices every variant once, at the
-     engine's actual ring degree: it orders the ready list as in
+  (* The analytic model prices every variant once, at the engine's
+     actual ring degree and [Cost.default_coefficients] (no per-host
+     calibration; see ROADMAP item 12): it orders the ready list as in
      [Parallel.execute_on], and the width-1 total seeds the admission
      controller's service estimate, which it blends with measured
      times. *)
@@ -501,7 +498,6 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
       lat_ring = Array.make latency_window 0.0;
       lat_count = 0;
       domains = [];
-      pool_base = Pool.stats ();
       pt_base = Executor.pt_cache_counters engine;
     }
   in
@@ -592,20 +588,9 @@ let reject t ~id d =
   Mutex.unlock t.lock
 
 let stats_locked t =
-  (* The pool counters are process-global and the cache counters run
-     since keygen; report this daemon's share of each as the delta since
-     [start]. *)
+  (* The cache counters run since keygen; report this daemon's share as
+     the delta since [start]. *)
   let hits, misses = Executor.pt_cache_counters t.engine and base_hits, base_misses = t.pt_base in
-  let lanes = Pool.workers () in
-  let now = Pool.stats () and base = t.pool_base in
-  let delta =
-    {
-      Pool.chunked_calls = now.Pool.chunked_calls - base.Pool.chunked_calls;
-      inline_calls = now.Pool.inline_calls - base.Pool.inline_calls;
-      wall_seconds = now.Pool.wall_seconds -. base.Pool.wall_seconds;
-      busy_seconds = now.Pool.busy_seconds -. base.Pool.busy_seconds;
-    }
-  in
   {
     requests_served = t.served;
     requests_failed = t.failed;
@@ -617,9 +602,6 @@ let stats_locked t =
     queue_high_water = t.high_water;
     pt_cache_hits = hits - base_hits;
     pt_cache_misses = misses - base_misses;
-    pool_lanes = lanes;
-    pool_chunked_calls = delta.Pool.chunked_calls;
-    pool_efficiency = Pool.efficiency ~lanes:(max 1 lanes) delta;
     executions = t.executions;
     batches_dissolved = t.dissolved;
     batch_histogram = Array.copy t.batch_hist;
@@ -716,11 +698,6 @@ let wire_stats t =
     st_batch_histogram = s.batch_histogram;
     st_slots_occupied = s.slots_occupied;
     st_slots_available = s.slots_available;
-    (* The wire quantile validator demands finite non-negative; an idle
-       pool's efficiency can read NaN (0 busy / 0 wall). *)
-    st_pool_efficiency =
-      (let e = s.pool_efficiency in
-       if Float.is_finite e && e > 0.0 then Float.min e 1.0 else 0.0);
     st_pt_hits = s.pt_cache_hits;
     st_pt_misses = s.pt_cache_misses;
   }

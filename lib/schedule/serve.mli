@@ -21,10 +21,14 @@
     executors check per node, so a deadline blown mid-graph stops the
     request within one node (EVA-E505) instead of occupying a worker to
     completion. With {!config.shed} enabled, admission predicts each
-    request's completion time from the calibrated {!Cost} model blended
-    with measured service times and refuses requests that cannot make
-    their deadline (EVA-E509) before they cost anything; no-deadline
-    traffic is shed by queue-depth watermarks with hysteresis. *)
+    request's completion time from the {!Cost} model blended with
+    measured service times and refuses requests that cannot make their
+    deadline (EVA-E509) before they cost anything; no-deadline traffic
+    is shed by queue-depth watermarks with hysteresis. Until the first
+    request completes, that prediction prices the program with
+    {!Cost.default_coefficients} (through {!Parallel.priority}), not
+    with coefficients calibrated on this machine; ROADMAP item 12
+    replaces those stale constants with measured ones. *)
 
 (** Overload policy at admission. *)
 type shed_mode =
@@ -105,14 +109,6 @@ type stats = {
   queue_high_water : int;  (** deepest the admission queue ever got *)
   pt_cache_hits : int;  (** the engine's plaintext-cache hits during this daemon *)
   pt_cache_misses : int;
-  pool_lanes : int;  (** kernel-pool lanes at drain time *)
-  pool_chunked_calls : int;
-      (** kernel loops this daemon ran through the shared pool (delta of
-          the process-global counter over the daemon's lifetime) *)
-  pool_efficiency : float;
-      (** fraction of the theoretical [pool_lanes]-way kernel speedup
-          realized (busy time / (wall time * lanes)); [1.0] when no
-          chunked kernel ran *)
   executions : int;
       (** completed graph evaluations of any batch width; with batching,
           [requests_served / executions] approaches the mean batch *)

@@ -78,7 +78,6 @@ let serve_seeds =
         st_batch_histogram = [| 1; 0; 1; 3 |];
         st_slots_occupied = 208;
         st_slots_available = 640;
-        st_pool_efficiency = 0.5;
         st_pt_hits = 40;
         st_pt_misses = 9;
       }

@@ -3,6 +3,8 @@ module Keys = Eva_ckks.Keys
 module Eval = Eva_ckks.Eval
 module Emb = Eva_ckks.Embedding
 module Sec = Eva_ckks.Security
+module Rp = Eva_poly.Rns_poly
+module Ntt = Eva_rns.Ntt
 
 let rng () = Random.State.make [| 2024 |]
 
@@ -386,6 +388,45 @@ let prop_homomorphic_add =
       let out = Eval.decrypt c secret (Eval.add ca cb) in
       Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-4) (Array.map2 ( +. ) a b) out)
 
+(* {2 Allocation budgets}
+
+   Residue rows live off the OCaml heap (Bigarray), so the GC-visible
+   words of one call stay bounded by the remaining scratch: the Garner
+   digit buffer (n words per decompose) plus fixed-size bookkeeping. A
+   re-boxing regression (per-element or per-row OCaml arrays back in
+   the hot path) blows through these at once. Measured over one call
+   after one warm-up call; [Gc.allocated_bytes] counts minor and major
+   allocation, so rows above the minor-heap cutoff are seen. *)
+let words_of_one_call f =
+  f ();
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. b0) /. 8.0
+
+let test_allocation_budgets () =
+  List.iter
+    (fun log_n ->
+      let n = 1 lsl log_n in
+      let ctx = Ctx.make ~ignore_security:true ~n ~data_bits:[ 60; 60; 60 ] ~special_bits:[ 60 ] () in
+      let rng = Random.State.make [| 23; log_n |] in
+      let _, keys = Keys.generate ctx rng ~galois_elts:[] in
+      let level = Ctx.chain_length ctx in
+      let c = Rp.sample_uniform rng ~tables:(Ctx.tables_for_level ctx level) in
+      let tables =
+        Array.of_list
+          (List.map (fun p -> Ntt.make ~n p) (Eva_rns.Primes.gen_chain ~bit_sizes:[ 30; 30; 30 ] ~two_n:(2 * n)))
+      in
+      let a = Rp.sample_uniform rng ~tables and b = Rp.sample_uniform rng ~tables in
+      let check what budget f =
+        let words = words_of_one_call f in
+        if words > budget then
+          Alcotest.failf "%s at N=2^%d: %.0f words/op exceeds budget %.0f" what log_n words budget
+      in
+      check "key switch" (float_of_int (8 * n) +. 65536.0) (fun () ->
+          ignore (Keys.switch ctx keys.Keys.relin ~level c));
+      check "pointwise multiply" 4096.0 (fun () -> ignore (Rp.mul a b)))
+    [ 8; 12 ]
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ckks"
@@ -427,5 +468,6 @@ let () =
           Alcotest.test_case "total log Q" `Quick test_total_log_q;
         ] );
       ("failure injection", [ Alcotest.test_case "constraint violations" `Quick test_constraint_violations ]);
+      ("kernels", [ Alcotest.test_case "words/op within allocation budgets" `Quick test_allocation_budgets ]);
       ("property", [ qt prop_homomorphic_add ]);
     ]

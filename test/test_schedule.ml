@@ -136,6 +136,22 @@ let test_cost_model_grows_with_n () =
     small;
   Alcotest.(check bool) "total cost grows" true (total large > total small)
 
+(* Cost prices a level by the machine primes Context realizes it with:
+   on a chain mixing one-prime (<= 30-bit) and two-prime (> 30-bit)
+   elements, the two agree at every level. *)
+let test_cost_primes_match_context () =
+  let data_bits = [ 60; 30; 24; 45; 31; 28; 40 ] in
+  let ctx = Eva_ckks.Context.make ~ignore_security:true ~n:256 ~data_bits ~special_bits:[ 60 ] () in
+  let cost_primes = Cost.primes_of_level data_bits in
+  List.iteri
+    (fun i _ ->
+      let level = i + 1 in
+      Alcotest.(check int)
+        (Printf.sprintf "primes at level %d" level)
+        (Eva_ckks.Context.prime_count_for_level ctx level)
+        (cost_primes level))
+    data_bits
+
 let test_calibration_positive () =
   let co = Cost.calibrate ~log_n:10 () in
   List.iter
@@ -378,6 +394,7 @@ let () =
           Alcotest.test_case "hoist group beats naive at 1 worker" `Quick test_hoist_group_makespan;
           Alcotest.test_case "grows with N" `Quick test_cost_model_grows_with_n;
           Alcotest.test_case "calibration" `Quick test_calibration_positive;
+          Alcotest.test_case "prime count per level matches Context" `Quick test_cost_primes_match_context;
         ] );
       ( "parallel executor",
         [

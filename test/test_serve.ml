@@ -460,7 +460,6 @@ let test_stats_probe () =
       st_batch_histogram = [| 1; 0; 0; 2 |];
       st_slots_occupied = 144;
       st_slots_available = 512;
-      st_pool_efficiency = 0.75;
       st_pt_hits = 7;
       st_pt_misses = 2;
     }
