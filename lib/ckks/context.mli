@@ -5,7 +5,7 @@
     2^31 (see DESIGN.md: products of residues must fit OCaml's native
     ints). Rescaling and modulus switching drop the {e last} element of the
     current chain, as in SEAL; the EVA compiler's bit-size vector is laid
-    out accordingly. A separate special element backs hybrid key
+    out accordingly. A separate special element backs key
     switching. *)
 
 type t

@@ -149,8 +149,8 @@ let rescale ctx ct =
   if ct.level <= 1 then raise (Level_mismatch "rescale: already at the last element");
   let e = ct.level - 1 in
   let ev = Context.element_value ctx e in
-  (* An element spans one or two machine primes; one NTT round trip
-     covers both divisions. *)
+  (* An element spans one or two machine primes; one division by their
+     product, in the NTT domain, covers both. *)
   let pc = Context.prime_count_for_level ctx ct.level - Context.prime_count_for_level ctx e in
   { polys = Array.map (fun p -> Rns_poly.rescale_many p pc) ct.polys; level = e; scale = ct.scale /. ev }
 
@@ -164,8 +164,9 @@ let apply_galois ctx ks ct g =
   if size ct <> 2 then raise (Size_error "galois: size-2 ciphertext required");
   let key = match Keys.find_galois ks g with Some k -> k | None -> raise (Missing_galois_key g) in
   let c0g = Rns_poly.galois ct.polys.(0) g in
-  (* Key switching consumes coefficients; skip the NTT round trip. *)
-  let c1g = Rns_poly.galois_to_coeff ct.polys.(1) g in
+  (* Both halves permute in the NTT domain; key switching decomposes
+     from NTT rows. *)
+  let c1g = Rns_poly.galois ct.polys.(1) g in
   let d0, d1 = Keys.switch ctx key ~level:ct.level c1g in
   (* [c0g] is a fresh permutation output, safe to mutate. *)
   Rns_poly.add_inplace c0g d0;

@@ -109,13 +109,14 @@ let public_of_parts ~b ~a = { pk_b = b; pk_a = a }
    (permuting NTT-domain digit rows must equal decomposing the permuted
    polynomial). Centered digits also halve the worst-case digit
    magnitude, the standard noise win. Exact — no approximate base
-   extension needed. Digits are written into [buf] so one scratch array
+   extension needed. [rows] holds the element's [count] residue rows in
+   coefficient form; digits are written into [buf] so one scratch array
    serves every element. *)
 let digit_values_into ~full ~lo ~count rows buf =
   if count = 1 then begin
     let qa = Ntt.modulus full.(lo) in
     let half = qa / 2 in
-    let ra = rows.(lo) in
+    let ra = rows.(0) in
     for k = 0 to Array.length buf - 1 do
       let r = Rowvec.unsafe_get ra k in
       (* r - qa iff r > half, branchless: (half - r) asr 62 is -1 then. *)
@@ -130,7 +131,7 @@ let digit_values_into ~full ~lo ~count rows buf =
     let { Modarith.bmu31; _ } = Ntt.barrett full.(lo + 1) in
     let inv_qa = Modarith.inv (qa mod qb) qb in
     let inv_s = Modarith.shoup inv_qa qb in
-    let ra = rows.(lo) and rb = rows.(lo + 1) in
+    let ra = rows.(0) and rb = rows.(1) in
     (* The Barrett, modular-subtract and Shoup steps are written out
        (branchless, exact) so the loop makes no call per coefficient. *)
     for k = 0 to Array.length buf - 1 do
@@ -152,11 +153,12 @@ let digit_values_into ~full ~lo ~count rows buf =
   end
 
 (* A hoistable decomposition: every digit of the input, spread over the
-   key-switch target chain and forward-transformed, plus the scratch an
+   key-switch target chain in NTT form, plus the scratch an
    [apply_decomposed] call needs. Producing this is the expensive shared
-   prefix of a key switch (Garner reconstruction + one forward NTT per
-   target row per element); applying a key to it is cheap (pointwise
-   inner products + the modulus-down correction). The scratch fields
+   prefix of a key switch (one inverse NTT per input row, Garner
+   reconstruction, one forward NTT per target row outside each
+   element); applying a key to it is cheap (pointwise inner products +
+   the modulus-down correction). The scratch fields
    make [apply_decomposed] allocation-light but also mean a [decomposed]
    value must not be shared across threads. *)
 type decomposed = {
@@ -170,39 +172,43 @@ type decomposed = {
 }
 
 let decompose ctx ~level c =
+  if not (Rns_poly.is_ntt c) then invalid_arg "Keys.decompose: NTT form required";
   let level_tables = Context.tables_for_level ctx level in
   let m = Array.length level_tables in
   let target = Context.ks_tables ctx level in
   let tm = Array.length target in
   let full = Context.full_tables ctx in
-  (* NTT input: work on an owned copy whose rows the digits may keep.
-     Coefficient input: the caller keeps ownership, so in-range rows are
-     copied before the in-place forward transform. *)
-  let owned = Rns_poly.is_ntt c in
-  let w = if owned then Rns_poly.copy c else c in
-  Rns_poly.to_coeff w;
-  let w_rows = Rns_poly.rows w in
+  (* One copy of the input: each digit's rows on its own element's
+     primes are views of it. *)
+  let c_rows = Rns_poly.rows (Rns_poly.copy c) in
   let n = Rns_poly.degree c in
   let ranges = Context.element_prime_ranges ctx in
   let live = ref [] in
   Array.iteri (fun e (lo, count) -> if lo + count <= m then live := (e, lo, count) :: !live) ranges;
   let live = Array.of_list (List.rev !live) in
   let d_buf = Array.make n 0 in
+  (* Coefficient form of one element's rows at a time (at most two). *)
+  let coeff = Rowvec.alloc_rows ~count:2 ~n in
   let digits =
-    (* Elements share [d_buf]; within one element each of the tm target
-       rows costs one forward NTT, the dominant cost of a key switch. *)
+    (* Elements share [d_buf] and [coeff]; within one element each target
+       row outside the element costs one forward NTT, the dominant cost
+       of a key switch. *)
     Array.map
       (fun (_, lo, count) ->
-        let d = digit_values_into ~full ~lo ~count w_rows d_buf in
+        let own = Array.sub coeff 0 count in
+        Array.iteri
+          (fun r row ->
+            Rowvec.blit c_rows.(lo + r) row;
+            Ntt.inverse target.(lo + r) row)
+          own;
+        let d = digit_values_into ~full ~lo ~count own d_buf in
         let out = Array.make tm (Rowvec.create 0) in
         for j = 0 to tm - 1 do
-          if j >= lo && j < lo + count then begin
+          if j >= lo && j < lo + count then
             (* The element's own primes: the digit is congruent to the
-               residue row itself (centering shifts by a multiple of Q_e). *)
-            let row = if owned then w_rows.(j) else Rowvec.copy w_rows.(j) in
-            Ntt.forward target.(j) row;
-            out.(j) <- row
-          end
+               residue row itself (centering shifts by a multiple of Q_e),
+               so its NTT row is the input's. *)
+            out.(j) <- c_rows.(j)
           else begin
             let p = Ntt.modulus target.(j) in
             let row = Rowvec.create n in

@@ -1,10 +1,11 @@
-(** Key generation and hybrid key switching.
+(** Key generation and key switching.
 
     Key switching follows SEAL's RNS design: the polynomial to switch is
     decomposed into one digit per modulus element of the current chain;
     each digit multiplies a key encrypting [P * W_e * s'] under [s],
-    where [P] is the special modulus and [W_e] the CRT interpolation
-    basis element; the accumulated pair is finally divided by [P]. Keys
+    where [P] is the special element's modulus and [W_e] the CRT
+    interpolation basis element; the accumulated pair is finally divided
+    by [P] in the NTT domain ({!Eva_poly.Rns_poly.rescale_many}). Keys
     are generated once over the full chain and restricted row-wise at
     lower levels.
 
@@ -38,9 +39,9 @@ val public_parts : public_key -> Eva_poly.Rns_poly.t * Eva_poly.Rns_poly.t
 (** {2 Hoisted key switching (Halevi–Shoup)}
 
     A key switch is a shared expensive prefix — the RNS digit
-    decomposition of the input, spread over the extended chain and
-    forward-transformed — followed by a cheap per-key suffix (pointwise
-    inner products against the key, then the modulus-down correction).
+    decomposition of the input, spread over the extended chain in NTT
+    form — followed by a cheap per-key suffix (pointwise inner products
+    against the key, then the division by [P]).
     {!decompose} computes the prefix once; {!apply_decomposed} runs the
     suffix for one key, optionally permuting the cached digits by a
     Galois element first. Digits are *centered* (symmetric range, odd in
@@ -52,9 +53,13 @@ val public_parts : public_key -> Eva_poly.Rns_poly.t * Eva_poly.Rns_poly.t
 type decomposed
 
 (** [decompose ctx ~level c] digit-decomposes [c] over the key-switch
-    target chain (level tables plus special), NTT form. [c] may be in
-    either form and is not modified. The result owns per-apply scratch,
-    so it must not be shared across threads. *)
+    target chain (level tables plus special), NTT form. [c] must be in
+    NTT form (raises [Invalid_argument] otherwise) and is not modified:
+    its rows are inverse-transformed one element at a time into
+    scratch, and each digit's rows on its own element's primes are
+    copies of [c]'s, so only the other target rows pay a forward
+    transform. The result owns per-apply scratch, so it must not be
+    shared across threads. *)
 val decompose : Context.t -> level:int -> Eva_poly.Rns_poly.t -> decomposed
 
 (** [apply_decomposed ?galois ctx key d] finishes the key switch for one
@@ -62,14 +67,16 @@ val decompose : Context.t -> level:int -> Eva_poly.Rns_poly.t -> decomposed
     [d0 + d1*s ~ w*s'] where [w] is the decomposed polynomial ([galois]
     permutes the cached digits by that element first, so [w] is then the
     automorphism image of the decomposed input) and [s'] is the key's
-    source secret. Allocation-light: only the result pair is fresh. *)
+    source secret. Allocation-light: it allocates the two accumulators
+    over the target chain and the two results, each result one block
+    that also holds its division's scratch rows for the special primes;
+    the permuted-digit rows are scratch kept in [d]. *)
 val apply_decomposed :
   ?galois:int -> Context.t -> switch_key -> decomposed -> Eva_poly.Rns_poly.t * Eva_poly.Rns_poly.t
 
 (** [switch ctx key ~level c] returns [(d0, d1)] over the first [level]
     elements with [d0 + d1*s ~ c*s'] where [s'] is the key's source
-    secret. [c] may be in either form (coefficient form avoids one NTT
-    round trip; [c] is not modified either way). Exactly
+    secret. [c] must be in NTT form and is not modified. Exactly
     [apply_decomposed ctx key (decompose ctx ~level c)]. *)
 val switch : Context.t -> switch_key -> level:int -> Eva_poly.Rns_poly.t -> Eva_poly.Rns_poly.t * Eva_poly.Rns_poly.t
 

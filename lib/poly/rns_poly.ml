@@ -232,71 +232,136 @@ let drop_many t count =
   if count < 0 || count >= k then invalid_arg "Rns_poly.drop_many: bad count";
   { t with tables = Array.sub t.tables 0 (k - count); rows = Array.sub t.rows 0 (k - count) }
 
-(* Divide the coefficient-form rows by the last prime with centered
-   rounding; mutates [rows] in place and returns one fewer row. The
-   inner loop is division-free: the last prime's residue reduces with
-   the row's Barrett constant and the fixed inverse multiplies via its
-   Shoup companion. *)
-let rescale_rows_once tables rows =
-  let k = Array.length rows in
-  let p_last = Ntt.modulus tables.(k - 1) in
-  let last = rows.(k - 1) in
-  let half = p_last / 2 in
-  let n = Rowvec.length last in
-  for i = 0 to k - 2 do
-    let p = Ntt.modulus tables.(i) in
-    let { Modarith.bp; bmu31; _ } = Ntt.barrett tables.(i) in
-    let p_last_mod = p_last mod p in
-    let inv_last = Modarith.inv p_last_mod p in
-    let inv_s = Modarith.shoup inv_last p in
-    let row = rows.(i) in
-    for j = 0 to n - 1 do
-      (* Centered remainder keeps the rounding error at most 1/2. *)
-      let c_last = Rowvec.unsafe_get last j in
-      let q = (c_last * bmu31) lsr 31 in
-      let v = c_last - (q * bp) - bp in
-      let v = v + (bp land (v asr 62)) - bp in
-      let v = v + (bp land (v asr 62)) in
-      (* Subtract (p_last mod p) exactly when the centered remainder is
-         negative, again branchless: [sel] is -1 iff c_last > half. *)
-      let sel = (half - c_last) asr 62 in
-      let v = v - (p_last_mod land sel) in
-      let v = v + (p land (v asr 62)) in
-      let diff = Rowvec.unsafe_get row j - v in
-      let diff = diff + (p land (diff asr 62)) in
-      let q = (diff * inv_s) lsr 31 in
-      let r = (diff * inv_last) - (q * p) - p in
-      Rowvec.unsafe_set row j (r + (p land (r asr 62)))
-    done
-  done;
-  Array.sub rows 0 (k - 1)
-
+(* Divide by the product P of the last [count] primes with rounding.
+   Centered rounding by p_(k-1), then by p_(k-2), and so on, composes
+   to one subtraction of R = c_1 + p_(k-1) * (c_2 + p_(k-2) * (...)),
+   where c_s is the centered digit of the running quotient modulo the
+   s-th dropped prime: R is the centered residue of x modulo P, and
+   the result is (x - R) * P^-1 on the kept primes. Only the dropped
+   rows leave the NTT domain: their digits come from a Garner pass
+   among themselves, pairs of digits fold into one native int below
+   2^59 in magnitude, and the folded R, reduced by Horner modulo each
+   kept prime, is transformed back as one correction row per kept
+   prime. Coefficient-form input takes the same path with neither
+   transform. Output and scratch rows are one block: the kept rows
+   first, then the dropped rows' digits. *)
 let rescale_many t count =
   let k = num_primes t in
   if count < 1 || count >= k then invalid_arg "Rns_poly.rescale_many: bad count";
-  let was_ntt = t.ntt in
-  let w = copy t in
-  to_coeff w;
-  let rows = ref w.rows in
-  for step = 0 to count - 1 do
-    rows := rescale_rows_once (Array.sub w.tables 0 (k - step)) !rows
+  let m = k - count in
+  let n = degree t in
+  let block = alloc_rows ~tables:t.tables in
+  (* Digit s lives in the dropped row of prime k-1-s. *)
+  let dp = Array.init count (fun s -> Ntt.modulus t.tables.(k - 1 - s)) in
+  let digits =
+    Array.init count (fun s ->
+        let row = block.(k - 1 - s) in
+        Rowvec.blit t.rows.(k - 1 - s) row;
+        if t.ntt then Ntt.inverse t.tables.(k - 1 - s) row;
+        row)
+  in
+  (* Garner among the dropped rows, as the sequential division does it:
+     subtract each centered digit from the later rows and divide by its
+     prime. The inner loop is division-free (Barrett reduction of the
+     digit, Shoup multiply by the fixed inverse). *)
+  for s = 0 to count - 2 do
+    let ps = dp.(s) in
+    let half = ps / 2 in
+    let src = digits.(s) in
+    for s' = s + 1 to count - 1 do
+      let p = dp.(s') in
+      let { Modarith.bp; bmu31; _ } = Ntt.barrett t.tables.(k - 1 - s') in
+      let ps_mod = ps mod p in
+      let inv = Modarith.inv ps_mod p in
+      let inv_s = Modarith.shoup inv p in
+      let row = digits.(s') in
+      for j = 0 to n - 1 do
+        let u = Rowvec.unsafe_get src j in
+        let q = (u * bmu31) lsr 31 in
+        let v = u - (q * bp) - bp in
+        let v = v + (bp land (v asr 62)) - bp in
+        let v = v + (bp land (v asr 62)) in
+        (* Subtract (ps mod p) exactly when the centered digit is
+           negative: [sel] is -1 iff u > half. *)
+        let sel = (half - u) asr 62 in
+        let v = v - (ps_mod land sel) in
+        let v = v + (p land (v asr 62)) in
+        let diff = Rowvec.unsafe_get row j - v in
+        let diff = diff + (p land (diff asr 62)) in
+        let q = (diff * inv_s) lsr 31 in
+        let r = (diff * inv) - (q * p) - p in
+        Rowvec.unsafe_set row j (r + (p land (r asr 62)))
+      done
+    done
   done;
-  let r = { tables = Array.sub w.tables 0 (k - count); rows = !rows; ntt = false } in
-  if was_ntt then to_ntt r;
-  r
+  (* Fold digits pairwise, in place: group g holds
+     G_g = c_(2g) + p_(2g) * c_(2g+1) in digit row 2g, so
+     R = G_0 + p_0 p_1 * (G_1 + p_2 p_3 * (...)). *)
+  let groups = (count + 1) / 2 in
+  for g = 0 to groups - 1 do
+    let a = digits.(2 * g) and pa = dp.(2 * g) in
+    let ha = pa / 2 in
+    if (2 * g) + 1 < count then begin
+      let b = digits.((2 * g) + 1) and pb = dp.((2 * g) + 1) in
+      let hb = pb / 2 in
+      for j = 0 to n - 1 do
+        let ua = Rowvec.unsafe_get a j and ub = Rowvec.unsafe_get b j in
+        let ca = ua - (pa land ((ha - ua) asr 62)) and cb = ub - (pb land ((hb - ub) asr 62)) in
+        Rowvec.unsafe_set a j (ca + (pa * cb))
+      done
+    end
+    else
+      for j = 0 to n - 1 do
+        let ua = Rowvec.unsafe_get a j in
+        Rowvec.unsafe_set a j (ua - (pa land ((ha - ua) asr 62)))
+      done
+  done;
+  for i = 0 to m - 1 do
+    let p = Ntt.modulus t.tables.(i) in
+    let corr = block.(i) in
+    (* R mod p by Horner over the groups, top group first. |G| < 2^59
+       and the running value times (p_a p_b mod p) stays below 2^60, so
+       every step is one exact [mod] (truncating: the sign mask fixes a
+       negative remainder). *)
+    let top = digits.(2 * (groups - 1)) in
+    for j = 0 to n - 1 do
+      let r = Rowvec.unsafe_get top j mod p in
+      Rowvec.unsafe_set corr j (r + (p land (r asr 62)))
+    done;
+    for g = groups - 2 downto 0 do
+      let w = dp.(2 * g) mod p * (dp.((2 * g) + 1) mod p) mod p in
+      let gr = digits.(2 * g) in
+      for j = 0 to n - 1 do
+        let r = ((Rowvec.unsafe_get corr j * w) + Rowvec.unsafe_get gr j) mod p in
+        Rowvec.unsafe_set corr j (r + (p land (r asr 62)))
+      done
+    done;
+    if t.ntt then Ntt.forward t.tables.(i) corr;
+    (* (x - R) * P^-1, the fixed inverse by Shoup. *)
+    let pinv = Array.fold_left (fun acc ps -> Modarith.mul acc (Modarith.inv (ps mod p) p) p) 1 dp in
+    let pinv_s = Modarith.shoup pinv p in
+    let row = t.rows.(i) in
+    for j = 0 to n - 1 do
+      let diff = Rowvec.unsafe_get row j - Rowvec.unsafe_get corr j in
+      let diff = diff + (p land (diff asr 62)) in
+      let q = (diff * pinv_s) lsr 31 in
+      let r = (diff * pinv) - (q * p) - p in
+      Rowvec.unsafe_set corr j (r + (p land (r asr 62)))
+    done
+  done;
+  { tables = Array.sub t.tables 0 m; rows = Array.sub block 0 m; ntt = t.ntt }
 
 let rescale_last t = rescale_many t 1
 
+(* The automorphism on a coefficient-form [t]. *)
 let galois_rows t g =
   let n = degree t in
   let mask = (2 * n) - 1 in
   if g land 1 = 0 then invalid_arg "Rns_poly.galois: even exponent";
-  let w = copy t in
-  to_coeff w;
-  let out_rows = alloc_rows ~tables:w.tables in
-  for_rows w (fun i ->
-      let p = Ntt.modulus w.tables.(i) in
-      let row = w.rows.(i) and out = out_rows.(i) in
+  let out_rows = alloc_rows ~tables:t.tables in
+  for_rows t (fun i ->
+      let p = Ntt.modulus t.tables.(i) in
+      let row = t.rows.(i) and out = out_rows.(i) in
       for j = 0 to n - 1 do
         (* X^j -> X^(jg mod 2n) = -X^(jg mod 2n - n) past n. g is odd,
            so j -> jg mod n is a bijection: every output word is written
@@ -326,8 +391,6 @@ let galois t g =
     { tables = t.tables; rows; ntt = true }
   end
   else { tables = t.tables; rows = galois_rows t g; ntt = false }
-
-let galois_to_coeff t g = { tables = t.tables; rows = galois_rows t g; ntt = false }
 
 (* Sampling draws from one sequential RNG stream, so the draw order (row
    by row, coefficient by coefficient) is part of the format. *)

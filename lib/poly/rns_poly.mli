@@ -81,17 +81,18 @@ val drop_many : t -> int -> t
     (RESCALE). Returns the result in the form [t] was in. *)
 val rescale_last : t -> t
 
-(** [rescale_many t k] divides by each of the last [k] primes in turn
-    (with rounding), in a single NTT round trip. *)
+(** [rescale_many t k] divides by the product of the last [k] primes
+    with rounding, exactly as [k] successive {!rescale_last} calls do,
+    and returns the result in the form [t] was in. An NTT-form [t] pays
+    [k] inverse and [num_primes t - k] forward transforms: only the
+    dropped rows leave the evaluation domain, and one correction row
+    per kept prime enters it. [t] is not modified; the result's rows
+    share one buffer with the [k] rows of scratch. *)
 val rescale_many : t -> int -> t
 
-(** [galois t g] applies the automorphism X -> X^g for odd [g]. *)
+(** [galois t g] applies the automorphism X -> X^g for odd [g], in the
+    form [t] is in (in NTT form it is a slot permutation). *)
 val galois : t -> int -> t
-
-(** Like {!galois} but the result is left in coefficient form (saves the
-    NTT round trip when the consumer needs coefficients, as key switching
-    does). *)
-val galois_to_coeff : t -> int -> t
 
 (** Uniform sample over the full modulus, evaluation form. *)
 val sample_uniform : Random.State.t -> tables:Eva_rns.Ntt.table array -> t

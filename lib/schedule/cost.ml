@@ -30,8 +30,10 @@ let calibrate ?(log_n = 12) () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
-  let m = 6 (* machine primes at level 3: three 60-bit elements *) in
-  let fn = float_of_int n and fm = float_of_int m in
+  (* Level 3: three 60-bit elements (digits) over m = 6 machine primes,
+     and s = 2 special primes. *)
+  let fe = 3.0 and fm = 6.0 and fs = 2.0 in
+  let fn = float_of_int n in
   let flog = float_of_int log_n in
   let t_add = time (fun () -> Eval.add ct ct) in
   let t_mul = time (fun () -> Eval.multiply ct ct) in
@@ -42,20 +44,24 @@ let calibrate ?(log_n = 12) () =
   let t_encode = time (fun () -> Eval.encode ctx ~level:3 ~scale v) in
   let c_linear = t_add /. (2.0 *. fm *. fn) in
   let c_mul = t_mul /. (3.0 *. fm *. fn) in
-  (* Key switching: m digits, each transformed over (m + s) primes. *)
-  let c_ntt = t_relin /. (fm *. (fm +. 2.0) *. fn *. flog) in
+  (* Key switching: e * (m + s) NTTs to decompose, 2 * (s + m) for the
+     mod-down (as [switch_split_cost] counts them). *)
+  let c_ntt = t_relin /. (((fe *. (fm +. fs)) +. (2.0 *. (fs +. fm))) *. fn *. flog) in
   let c_encode = t_encode /. fn in
   { c_linear; c_mul; c_ntt; c_encode }
 
-(* Hybrid key switching split into its hoistable prefix and per-key
-   suffix, at a level with [e] modulus elements (= digits), [m] machine
-   primes and [m + s] target primes:
+(* Key switching (one digit per modulus element, one special element)
+   split into its hoistable prefix and per-key suffix, at a level with
+   [e] modulus elements (= digits), [m] machine primes and [t = m + s]
+   target primes:
 
    - decompose: one inverse NTT per current prime (to coefficient form)
-     plus one forward NTT per (digit, target-prime) pair;
-   - apply: the per-digit pointwise inner products against the key and
-     the modulus-down correction's NTT round trips (2 components over
-     the target chain in, m primes back out).
+     plus one forward NTT per (digit, target-prime) pair outside the
+     digit's own primes, whose NTT rows are the input's: m + (e*t - m)
+     = e*t;
+   - apply: the per-digit pointwise inner products against the key and,
+     per component, the division by the special primes in the NTT
+     domain: s inverse NTTs and m forward, 2 * (s + m) in all.
 
    A naive switch is [decompose + apply]; a hoisted rotation group of k
    members is [decompose + k * apply] — the pricing the executors'
@@ -67,9 +73,9 @@ let switch_split_cost coeffs ~log_n ~special_primes ~primes_of_level ~level =
   let s = float_of_int special_primes in
   let e = float_of_int level in
   let t = m +. s in
-  let decompose = coeffs.c_ntt *. (m +. (e *. t)) *. fn *. flog in
+  let decompose = coeffs.c_ntt *. e *. t *. fn *. flog in
   let apply =
-    (coeffs.c_ntt *. 2.0 *. (t +. m) *. fn *. flog) +. (coeffs.c_mul *. 2.0 *. e *. t *. fn)
+    (coeffs.c_ntt *. 2.0 *. (s +. m) *. fn *. flog) +. (coeffs.c_mul *. 2.0 *. e *. t *. fn)
   in
   (decompose, apply)
 
@@ -93,11 +99,14 @@ let node_cost ?(polys_of = fun _ -> 2) coeffs ~log_n ~special_primes ~primes_of_
          encoding when one side is plaintext (amortized, kept simple). *)
       (coeffs.c_mul *. 3.0 *. m *. fn) +. (coeffs.c_encode *. fn)
   | Ir.Rescale _ ->
-      (* One inverse + forward NTT per remaining prime and polynomial. *)
-      coeffs.c_ntt *. np *. m *. fn *. flog
+      (* Per polynomial, pc inverse NTTs of the dropped primes plus one
+         forward NTT per remaining prime: as many NTTs as primes before
+         the rescale (the node's level is after it). *)
+      let m_in = float_of_int (primes_of_level (level_of n + 1)) in
+      coeffs.c_ntt *. np *. m_in *. fn *. flog
   | Ir.Mod_switch -> coeffs.c_linear *. (np /. 2.0) *. m *. fn
   | Ir.Relinearize | Ir.Rotate_left _ | Ir.Rotate_right _ ->
-      (* Full hybrid key switch: the hoistable prefix plus one apply. *)
+      (* Full key switch: the hoistable prefix plus one apply. *)
       let d, a =
         switch_split_cost coeffs ~log_n ~special_primes ~primes_of_level ~level:(level_of n)
       in

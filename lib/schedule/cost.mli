@@ -2,8 +2,9 @@
 
     Every homomorphic instruction's running time is dominated by
     per-prime vector work ([m * N]) and NTTs ([m * N * log2 N]); key
-    switching (relinearization, rotation) additionally pays one NTT per
-    (digit, target-prime) pair ([m * (m + s) * N * log2 N]). The model
+    switching (relinearization, rotation) additionally pays about one
+    NTT per (digit, target-prime) pair ([e * (m + s) * N * log2 N] for
+    [e] digits). The model
     assigns each EVA instruction a cost in those terms with coefficients
     calibrated against the real {!Eva_core.Executor} on this machine, so
     DAG makespans can be extrapolated to parameter sizes that are too

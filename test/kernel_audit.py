@@ -31,7 +31,7 @@ KERNELS = {
         "eva_poly",
         "Rns_poly",
         ["add", "sub", "neg", "mul", "mul_inplace", "add_inplace", "mul_acc", "mul_scalar_int",
-         "rescale_rows_once", "galois_rows", "galois", "of_small_coeffs", "of_float_coeffs",
+         "rescale_many", "galois_rows", "galois", "of_small_coeffs", "of_float_coeffs",
          "to_float_coeffs"],
     ),
     "lib/ckks/keys.ml": (

@@ -266,6 +266,20 @@ let test_switch_equals_decompose_apply () =
         (Eva_poly.Rns_poly.rows a))
     [ d0; d1 ] [ e0; e1 ]
 
+(* Decomposition reads the input's NTT rows; coefficient input is a
+   caller error, not a silent extra transform. *)
+let test_decompose_rejects_coeff () =
+  let c = ctx () in
+  let st = rng () in
+  let level = 4 in
+  let poly = Eva_poly.Rns_poly.sample_uniform st ~tables:(Ctx.tables_for_level c level) in
+  Eva_poly.Rns_poly.to_coeff poly;
+  Alcotest.(check bool) "raises Invalid_argument" true
+    (try
+       ignore (Keys.decompose c ~level poly);
+       false
+     with Invalid_argument _ -> true)
+
 let test_complex_encode_decode () =
   let c = ctx () in
   let st = rng () in
@@ -454,6 +468,7 @@ let () =
           Alcotest.test_case "rotate 0" `Quick test_rotate_zero_is_identity;
           Alcotest.test_case "hoisted rotation bit-exact" `Quick test_rotate_hoisted_bit_exact;
           Alcotest.test_case "switch = decompose;apply" `Quick test_switch_equals_decompose_apply;
+          Alcotest.test_case "decompose rejects coefficient form" `Quick test_decompose_rejects_coeff;
           Alcotest.test_case "depth-2 chain" `Quick test_depth_chain;
         ] );
       ( "complex slots",

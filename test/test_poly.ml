@@ -298,6 +298,90 @@ let prop_kernels_match_modarith =
         [ 3; 5; (2 * n) - 1; (2 * Random.State.int st n) + 1 ];
       true)
 
+(* {2 Division by dropped primes}
+
+   [rescale_many t c] divides by the last [c] primes at once, in the NTT
+   domain for NTT input. The oracle is the sequential definition in
+   scalar Modarith on coefficient rows: take the last residue's centered
+   value, subtract it from every kept residue and multiply by the
+   dropped prime's inverse, [c] times over. Chains mix 30-bit dropped
+   primes with smaller kept ones, so the folded correction (up to 2^59)
+   is reduced by primes far below it; coefficient rows carry the
+   centering edges 0, 1, (p-1)/2, (p+1)/2 and p-1. *)
+let rescale_reference rows primes count =
+  let rows = Array.map Rv.to_array rows in
+  let k = Array.length primes in
+  for step = 1 to count do
+    let last = k - step in
+    let pl = primes.(last) in
+    let kept = Array.sub primes 0 last in
+    Array.iteri
+      (fun i p ->
+        let inv = M.inv (pl mod p) p in
+        rows.(i) <-
+          Array.mapi
+            (fun j x ->
+              let u = rows.(last).(j) in
+              let c = if u > pl / 2 then u - pl else u in
+              M.mul (M.sub x (M.reduce c p) p) inv p)
+            rows.(i))
+      kept
+  done;
+  Array.sub rows 0 (k - count)
+
+let rescale_chains =
+  lazy
+    (List.map
+       (fun log_n -> (log_n, make_tables ~n:(1 lsl log_n) [ 30; 20; 30; 30; 26; 30; 30 ]))
+       [ 10; 12 ])
+
+let edge_coeff_row st tb =
+  let p = Ntt.modulus tb in
+  Rv.init (Ntt.size tb) (fun _ ->
+      match Random.State.int st 10 with
+      | 0 -> 0
+      | 1 -> 1
+      | 2 -> p / 2
+      | 3 -> (p / 2) + 1
+      | 4 -> p - 1
+      | _ -> Random.State.int st p)
+
+let prop_rescale_many =
+  QCheck2.Test.make ~name:"rescale_many = sequential division, in both forms" ~count:20
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 29 |] in
+      List.iter
+        (fun (log_n, tables) ->
+          let primes = Array.map Ntt.modulus tables in
+          let coeff = Rp.of_ntt_rows ~tables (Array.map (edge_coeff_row st) tables) in
+          Rp.to_coeff coeff;
+          Array.iteri (fun i tb -> Rv.blit (edge_coeff_row st tb) (Rp.rows coeff).(i)) tables;
+          let ntt = Rp.copy coeff in
+          Rp.to_ntt ntt;
+          let rows_of p = Array.map Rv.to_array (Rp.rows p) in
+          let fail what c = QCheck2.Test.fail_reportf "log N %d, %d dropped: %s" log_n c what in
+          List.iter
+            (fun c ->
+              let rc = Rp.rescale_many coeff c and rn = Rp.rescale_many ntt c in
+              if Rp.is_ntt rc || not (Rp.is_ntt rn) then fail "form not preserved" c;
+              if rows_of rc <> rescale_reference (Rp.rows coeff) primes c then fail "differs from oracle" c;
+              let rc' = Rp.copy rc in
+              Rp.to_ntt rc';
+              if rows_of rn <> rows_of rc' then fail "NTT result is not the transformed coefficient result" c;
+              let seq = ref ntt in
+              for _ = 1 to c do
+                seq := Rp.rescale_last !seq
+              done;
+              if rows_of rn <> rows_of !seq then fail "differs from successive rescale_last" c)
+            [ 1; 2; 3 ];
+          (* The input is not modified. *)
+          let again = Rp.copy coeff in
+          Rp.to_ntt again;
+          if rows_of again <> rows_of ntt then fail "input modified" 0)
+        (Lazy.force rescale_chains);
+      true)
+
 (* {2 Float coefficient conversions}
 
    Encoding rounds each double half away from zero and reduces it
@@ -517,5 +601,6 @@ let () =
           qt prop_mul_acc_matches;
           qt prop_mul_commutative;
           qt prop_mul_distributes;
+          qt prop_rescale_many;
         ] );
     ]
