@@ -13,54 +13,54 @@ type switch_key = { kb : Rowvec.t array array; ka : Rowvec.t array array }
 
 type keyset = { public : public_key; relin : switch_key; galois : (int, switch_key) Hashtbl.t }
 
-let full_poly ctx rows = Rns_poly.of_ntt_rows ~tables:(Context.full_tables ctx) rows
-
-let sample_full ctx rng sampler = sampler rng ~tables:(Context.full_tables ctx)
-
-(* [generate_switch_key ctx rng s s_prime]: digit e's key encrypts
-   [P * W_e * s'] where W_e is the CRT basis element of modulus element e,
-   so P*W_e = P (mod q) for the element's own primes and 0 elsewhere. *)
-let generate_switch_key ctx rng s s_prime =
+(* [generate_switch_key ctx ~tables ~s ~s' ~lo ~count st] is one RLWE
+   sample (b, a) under [s], drawn from stream [st] alone: a uniform, e
+   an error and b = -(a*s) - e + (P mod q_i)*s' on rows lo..lo+count-1
+   (P the special modulus). With the rows of modulus element e, that is
+   digit e of the switching key for [s'], which encrypts [P * W_e * s']
+   (W_e the element's CRT basis element, so P*W_e = P mod the element's
+   own primes and 0 elsewhere); with [count = 0] it is the public key.
+   b is computed in one pass into e's own fresh rows. *)
+let generate_switch_key ctx ~tables ~s ~s' ~lo ~count st =
   let full = Context.full_tables ctx in
   let nd = Context.num_data_primes ctx in
   let ns = Context.num_special_primes ctx in
-  let p_mod q =
-    let r = ref 1 in
-    for j = 0 to ns - 1 do
-      r := !r * (Ntt.modulus full.(nd + j) mod q) mod q
-    done;
-    !r
-  in
-  let ranges = Context.element_prime_ranges ctx in
-  let ne = Array.length ranges in
-  let kb = Array.make ne [||] and ka = Array.make ne [||] in
-  for e = 0 to ne - 1 do
-    let lo, count = ranges.(e) in
-    let a = Rns_poly.sample_uniform rng ~tables:full in
-    let err = Rns_poly.sample_error rng ~tables:full in
-    (* b = -(a*s) - err + (P mod q_i) * s' on the element's rows. *)
-    let b = Rns_poly.neg (Rns_poly.add (Rns_poly.mul a s) err) in
-    let b_rows = Rns_poly.rows b and s'_rows = Rns_poly.rows s_prime in
-    for i = lo to lo + count - 1 do
-      let qi = Ntt.modulus full.(i) in
-      let factor = p_mod qi in
+  let a = Rns_poly.sample_uniform st ~tables in
+  let b = Rns_poly.rows (Rns_poly.sample_error st ~tables) in
+  let a_rows = Rns_poly.rows a in
+  Array.iteri
+    (fun i tb ->
+      let { Modarith.bp = qi; bk; bmu; _ } = Ntt.barrett tb in
+      let factor =
+        if i < lo || i >= lo + count then 0
+        else begin
+          let r = ref 1 in
+          for j = 0 to ns - 1 do
+            r := !r * (Ntt.modulus full.(nd + j) mod qi) mod qi
+          done;
+          !r
+        end
+      in
       let factor_s = Modarith.shoup factor qi in
-      let row = b_rows.(i) and srow = s'_rows.(i) in
+      let row = b.(i) and arow = a_rows.(i) and srow = s.(i) and s'row = s'.(i) in
       for j = 0 to Rowvec.length row - 1 do
-        (* row += factor * s' (mod qi): a Shoup multiply by the fixed
-           factor, then a branchless modular add. *)
-        let v = Rowvec.unsafe_get srow j in
-        let q = (v * factor_s) lsr 31 in
-        let r = (v * factor) - (q * qi) - qi in
+        (* a*s by Barrett, plus e; factor*s' by Shoup; then their
+           difference, every correction branchless. *)
+        let z = Rowvec.unsafe_get arow j * Rowvec.unsafe_get srow j in
+        let q = ((z lsr (bk - 1)) * bmu) lsr (bk + 1) in
+        let r = z - (q * qi) - qi in
+        let r = r + (qi land (r asr 62)) - qi in
         let r = r + (qi land (r asr 62)) in
-        let x = Rowvec.unsafe_get row j + r - qi in
-        Rowvec.unsafe_set row j (x + (qi land (x asr 62)))
-      done
-    done;
-    kb.(e) <- b_rows;
-    ka.(e) <- Rns_poly.rows a
-  done;
-  { kb; ka }
+        let x = r + Rowvec.unsafe_get row j - qi in
+        let x = x + (qi land (x asr 62)) in
+        let v = Rowvec.unsafe_get s'row j in
+        let q = (v * factor_s) lsr 31 in
+        let y = (v * factor) - (q * qi) - qi in
+        let y = y + (qi land (y asr 62)) - x in
+        Rowvec.unsafe_set row j (y + (qi land (y asr 62)))
+      done)
+    tables;
+  (b, a_rows)
 
 let secret_at_level ctx secret ~level =
   let tables = Context.tables_for_level ctx level in
@@ -69,29 +69,45 @@ let secret_at_level ctx secret ~level =
 
 let public_parts pk = (pk.pk_b, pk.pk_a)
 
+(* Every RLWE sample is one job with its own stream. The streams are
+   split from [rng] before any job runs, in a fixed order: the public
+   key, the relin key's digits, then each distinct Galois element's
+   digits in [galois_elts] order. The keys, and the state [rng] is left
+   in, are thus a function of [rng]'s state on entry, whichever domain
+   runs which job. *)
 let generate ctx rng ~galois_elts =
-  let s = sample_full ctx rng Rns_poly.sample_ternary in
-  let secret = { s_rows = Rns_poly.rows s } in
+  let full = Context.full_tables ctx in
+  let s = Rns_poly.sample_ternary rng ~tables:full in
+  let s_rows = Rns_poly.rows s in
   (* Public key over the data chain only (fresh ciphertexts never carry
      the special element). *)
-  let data_level = Context.chain_length ctx in
-  let data_tables = Context.tables_for_level ctx data_level in
-  let s_data = secret_at_level ctx secret ~level:data_level in
-  let a = Rns_poly.sample_uniform rng ~tables:data_tables in
-  let e = Rns_poly.sample_error rng ~tables:data_tables in
-  let pk_b = Rns_poly.neg (Rns_poly.add (Rns_poly.mul a s_data) e) in
-  let public = { pk_b; pk_a = a } in
-  let s_sq = Rns_poly.mul (full_poly ctx secret.s_rows) (full_poly ctx secret.s_rows) in
-  let relin = generate_switch_key ctx rng (full_poly ctx secret.s_rows) s_sq in
+  let data_tables = Context.tables_for_level ctx (Context.chain_length ctx) in
+  let galois_elts = List.rev (List.fold_left (fun acc g -> if List.mem g acc then acc else g :: acc) [] galois_elts) in
+  let targets = Rns_poly.mul s s :: List.map (Rns_poly.galois s) galois_elts in
+  let ranges = Array.to_list (Context.element_prime_ranges ctx) in
+  let specs =
+    (data_tables, s_rows, (0, 0))
+    :: List.concat_map (fun s' -> List.map (fun range -> (full, Rns_poly.rows s', range)) ranges) targets
+  in
+  let streams = List.init (List.length specs) (fun _ -> Random.State.split rng) in
+  let results =
+    Array.of_list
+      (Fanout.map ~workers:(Domain.recommended_domain_count ())
+         (fun ((tables, s', (lo, count)), st) -> generate_switch_key ctx ~tables ~s:s_rows ~s' ~lo ~count st)
+         (List.combine specs streams))
+  in
+  let ne = List.length ranges in
+  let key k =
+    let digits = Array.sub results (1 + (k * ne)) ne in
+    { kb = Array.map fst digits; ka = Array.map snd digits }
+  in
+  let pk_b, pk_a = results.(0) in
+  let public =
+    { pk_b = Rns_poly.of_ntt_rows ~tables:data_tables pk_b; pk_a = Rns_poly.of_ntt_rows ~tables:data_tables pk_a }
+  in
   let galois = Hashtbl.create 8 in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem galois g) then begin
-        let s_g = Rns_poly.galois (full_poly ctx secret.s_rows) g in
-        Hashtbl.replace galois g (generate_switch_key ctx rng (full_poly ctx secret.s_rows) s_g)
-      end)
-    galois_elts;
-  (secret, { public; relin; galois })
+  List.iteri (fun k g -> Hashtbl.replace galois g (key (k + 1))) galois_elts;
+  ({ s_rows }, { public; relin = key 0; galois })
 
 let find_galois ks g = Hashtbl.find_opt ks.galois g
 
@@ -281,8 +297,9 @@ let apply_decomposed ?galois ctx key d =
       Rns_poly.mul_acc acc0 digit (Rns_poly.of_ntt_rows ~tables:target d.d_kb);
       Rns_poly.mul_acc acc1 digit (Rns_poly.of_ntt_rows ~tables:target d.d_ka))
     d.d_elems;
-  (* Divide by the special modulus P with rounding. *)
+  (* Divide by the special modulus P with rounding, in the accumulators:
+     their special rows are the division's digit scratch. *)
   let ns = Context.num_special_primes ctx in
-  (Rns_poly.rescale_many acc0 ns, Rns_poly.rescale_many acc1 ns)
+  (Rns_poly.rescale_many ~in_place:true acc0 ns, Rns_poly.rescale_many ~in_place:true acc1 ns)
 
 let switch ctx key ~level c = apply_decomposed ctx key (decompose ctx ~level c)

@@ -25,7 +25,14 @@ type keyset = {
 }
 
 (** [generate ctx rng ~galois_elts] makes a fresh secret and its
-    evaluation keys, with Galois keys for each requested element. *)
+    evaluation keys, with Galois keys for each distinct requested
+    element. After drawing the secret it splits one stream from [rng]
+    per RLWE sample, in a fixed order (the public key, the relin key's
+    digits, then each Galois key's digits in [galois_elts] order), and
+    generates the samples on [Domain.recommended_domain_count ()]
+    domains ({!Fanout.map}). The keys, and the state [rng] is left in,
+    depend only on [rng]'s state on entry: not on the domain count or
+    on which domain runs which digit. *)
 val generate : Context.t -> Random.State.t -> galois_elts:int list -> secret * keyset
 
 val find_galois : keyset -> int -> switch_key option
@@ -68,9 +75,11 @@ val decompose : Context.t -> level:int -> Eva_poly.Rns_poly.t -> decomposed
     permutes the cached digits by that element first, so [w] is then the
     automorphism image of the decomposed input) and [s'] is the key's
     source secret. Allocation-light: it allocates the two accumulators
-    over the target chain and the two results, each result one block
-    that also holds its division's scratch rows for the special primes;
-    the permuted-digit rows are scratch kept in [d]. *)
+    over the target chain and divides each in place
+    ([Rns_poly.rescale_many ~in_place:true]), so each result's rows are
+    its accumulator's data rows and the special rows were the
+    division's scratch; the permuted-digit rows are scratch kept in
+    [d]. *)
 val apply_decomposed :
   ?galois:int -> Context.t -> switch_key -> decomposed -> Eva_poly.Rns_poly.t * Eva_poly.Rns_poly.t
 

@@ -124,35 +124,10 @@ let extract_lane ~lanes ~lane v =
     invalid_arg "Executor.extract_lane";
   Array.init (Array.length v / lanes) (fun i -> v.((i * lanes) + lane))
 
-(* Order-preserving parallel map on domains; work is claimed from a
-   shared atomic counter so uneven item costs still balance. *)
-let parallel_map ~workers f items =
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let workers = max 1 (min workers n) in
-  if workers = 1 then List.map f items
-  else begin
-    let out = Array.make n None in
-    let next = Atomic.make 0 in
-    let err = Atomic.make None in
-    let rec drain () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n && Atomic.get err = None then begin
-        (try out.(i) <- Some (f arr.(i)) with e -> Atomic.set err (Some e));
-        drain ()
-      end
-    in
-    let domains = List.init (workers - 1) (fun _ -> Domain.spawn drain) in
-    drain ();
-    List.iter Domain.join domains;
-    (match Atomic.get err with Some e -> raise e | None -> ());
-    Array.to_list (Array.map Option.get out)
-  end
-
 (* Encode + encrypt the bound inputs. [value_of name] gives the input's
    full-width slot vector (lane-interleaved when batched): cipher inputs
    encode and encrypt it at the top level, plain inputs carry it as is.
-   Each Cipher input draws a private RNG from [rng] up front
+   Each Cipher input splits a private stream from [rng] up front
    (sequentially, so results are independent of [workers]), then the
    per-input work runs on [workers] domains (default: the recommended
    domain count). Returns the inputs and the seconds spent. *)
@@ -165,14 +140,13 @@ let encrypt_inputs ?workers ctx keyset rng ~value_of all_nodes =
       (fun n ->
         match n.Ir.op with
         | Ir.Input (Ir.Cipher, name) ->
-            let child = Random.State.make [| Random.State.bits rng; Random.State.bits rng |] in
-            Some (n, name, Some child)
+            Some (n, name, Some (Random.State.split rng))
         | Ir.Input (_, name) -> Some (n, name, None)
         | _ -> None)
       (List.rev all_nodes)
   in
   let inputs =
-    parallel_map ~workers
+    Eva_ckks.Fanout.map ~workers
       (fun (n, name, child) ->
         let v = value_of name in
         match child with

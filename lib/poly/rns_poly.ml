@@ -244,19 +244,20 @@ let drop_many t count =
    kept prime, is transformed back as one correction row per kept
    prime. Coefficient-form input takes the same path with neither
    transform. Output and scratch rows are one block: the kept rows
-   first, then the dropped rows' digits. *)
-let rescale_many t count =
+   first, then the dropped rows' digits. That block is fresh, or with
+   [in_place] it is [t]'s own rows. *)
+let rescale_many ?(in_place = false) t count =
   let k = num_primes t in
   if count < 1 || count >= k then invalid_arg "Rns_poly.rescale_many: bad count";
   let m = k - count in
   let n = degree t in
-  let block = alloc_rows ~tables:t.tables in
+  let block = if in_place then t.rows else alloc_rows ~tables:t.tables in
   (* Digit s lives in the dropped row of prime k-1-s. *)
   let dp = Array.init count (fun s -> Ntt.modulus t.tables.(k - 1 - s)) in
   let digits =
     Array.init count (fun s ->
         let row = block.(k - 1 - s) in
-        Rowvec.blit t.rows.(k - 1 - s) row;
+        if not in_place then Rowvec.blit t.rows.(k - 1 - s) row;
         if t.ntt then Ntt.inverse t.tables.(k - 1 - s) row;
         row)
   in
@@ -316,9 +317,14 @@ let rescale_many t count =
         Rowvec.unsafe_set a j (ua - (pa land ((ha - ua) asr 62)))
       done
   done;
+  (* A kept prime's correction is built in its output row, unless that
+     row is the input's: then in the second digit's row, free once the
+     pairs are folded, or in one fresh row when a single prime drops. *)
+  let scratch = if not in_place then None else Some (if count >= 2 then digits.(1) else Rowvec.create n) in
   for i = 0 to m - 1 do
     let p = Ntt.modulus t.tables.(i) in
-    let corr = block.(i) in
+    let out = block.(i) in
+    let corr = Option.value scratch ~default:out in
     (* R mod p by Horner over the groups, top group first. |G| < 2^59
        and the running value times (p_a p_b mod p) stays below 2^60, so
        every step is one exact [mod] (truncating: the sign mask fixes a
@@ -346,7 +352,7 @@ let rescale_many t count =
       let diff = diff + (p land (diff asr 62)) in
       let q = (diff * pinv_s) lsr 31 in
       let r = (diff * pinv) - (q * p) - p in
-      Rowvec.unsafe_set corr j (r + (p land (r asr 62)))
+      Rowvec.unsafe_set out j (r + (p land (r asr 62)))
     done
   done;
   { tables = Array.sub t.tables 0 m; rows = Array.sub block 0 m; ntt = t.ntt }
@@ -392,17 +398,42 @@ let galois t g =
   end
   else { tables = t.tables; rows = galois_rows t g; ntt = false }
 
-(* Sampling draws from one sequential RNG stream, so the draw order (row
-   by row, coefficient by coefficient) is part of the format. *)
+(* Samplers consume their stream a 64-bit word at a time, row by row
+   and coefficient by coefficient, so a sample is a function of the
+   stream's state alone. Work that fans out over domains gives each job
+   its own stream, split from the caller's in a fixed order before any
+   job runs (Keys.generate, Executor.encrypt_inputs): that order, not
+   which domain runs a job, is the format. *)
+let word st = Int64.to_int (Random.State.bits64 st)
+
 let sample_uniform st ~tables =
   let n = Ntt.size tables.(0) in
   let rows = alloc_rows ~tables in
   Array.iteri
     (fun i tb ->
       let p = Ntt.modulus tb in
+      (* Two candidates per word, each 30-bit half (p < 2^30) masked to
+         the bit length of p - 1; one at or above p is rejected, so every
+         kept residue is exactly uniform in [0, p). *)
+      let mask = ref 1 in
+      while !mask < p - 1 do
+        mask := (!mask lsl 1) lor 1
+      done;
+      let mask = !mask in
       let row = rows.(i) in
-      for j = 0 to n - 1 do
-        Rowvec.unsafe_set row j (Random.State.int st p)
+      let j = ref 0 in
+      while !j < n do
+        let w = word st in
+        let c = w land mask in
+        if c < p then begin
+          Rowvec.unsafe_set row !j c;
+          incr j
+        end;
+        let c = (w lsr 30) land mask in
+        if c < p && !j < n then begin
+          Rowvec.unsafe_set row !j c;
+          incr j
+        end
       done)
     tables;
   (* Uniform per-prime residues are exactly uniform mod the product (CRT). *)
@@ -427,19 +458,39 @@ let of_small_coeffs ~tables small =
 
 let sample_ternary st ~tables =
   let n = Ntt.size tables.(0) in
-  of_small_coeffs ~tables (Array.init n (fun _ -> Random.State.int st 3 - 1))
+  let small = Array.make n 0 in
+  (* 2-bit candidates, 31 to a word; 3 is rejected. *)
+  let j = ref 0 in
+  while !j < n do
+    let w = ref (word st) in
+    for _ = 1 to 31 do
+      let c = !w land 3 in
+      if c < 3 && !j < n then begin
+        Array.unsafe_set small !j (c - 1);
+        incr j
+      end;
+      w := !w lsr 2
+    done
+  done;
+  of_small_coeffs ~tables small
 
 let sample_error st ~tables =
   let n = Ntt.size tables.(0) in
-  (* Centered binomial with 21 coin pairs: variance 10.5, sigma ~ 3.24. *)
-  let cbd () =
-    let s = ref 0 in
-    for _ = 1 to 21 do
-      s := !s + Random.State.int st 2 - Random.State.int st 2
-    done;
-    !s
-  in
-  of_small_coeffs ~tables (Array.init n (fun _ -> cbd ()))
+  let small = Array.make n 0 in
+  for j = 0 to n - 1 do
+    (* Centered binomial with 21 coin pairs (variance 10.5, sigma ~
+       3.24): the popcount of a word's low 21 bits minus that of its
+       next 21. The halves are moved to bytes 0-2 and 4-6 and counted
+       together (SWAR); the byte sums land in bytes 2 and 6. *)
+    let w = word st in
+    let y = w land 0x1FFFFF lor (((w lsr 21) land 0x1FFFFF) lsl 32) in
+    let y = y - ((y lsr 1) land 0x55555555555555) in
+    let y = (y land 0x33333333333333) + ((y lsr 2) land 0x33333333333333) in
+    let y = (y + (y lsr 4)) land 0x0F0F0F0F0F0F0F in
+    let y = y * 0x010101 in
+    Array.unsafe_set small j (((y lsr 16) land 0xFF) - ((y lsr 48) land 0xFF))
+  done;
+  of_small_coeffs ~tables small
 
 (* Garner's mixed-radix digits v of a coefficient x in [0, Q), with
    x = v0 + p0*(v1 + p1*(v2 + ...)) and 0 <= vi < pi, decide its sign

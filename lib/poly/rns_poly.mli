@@ -87,20 +87,39 @@ val rescale_last : t -> t
     [k] inverse and [num_primes t - k] forward transforms: only the
     dropped rows leave the evaluation domain, and one correction row
     per kept prime enters it. [t] is not modified; the result's rows
-    share one buffer with the [k] rows of scratch. *)
-val rescale_many : t -> int -> t
+    share one buffer with the [k] rows of scratch. With [~in_place:true]
+    that buffer is [t]'s own rows: the result's rows are [t]'s kept
+    rows, overwritten, and [t]'s dropped rows are left as scratch, so
+    the caller must own [t] (as for {!mul_inplace}) and not use it
+    afterwards. The result is bit-identical either way. *)
+val rescale_many : ?in_place:bool -> t -> int -> t
 
 (** [galois t g] applies the automorphism X -> X^g for odd [g], in the
     form [t] is in (in NTT form it is a slot permutation). *)
 val galois : t -> int -> t
 
-(** Uniform sample over the full modulus, evaluation form. *)
+(** {2 Sampling}
+
+    Each sampler draws 64-bit words from its stream
+    ([Random.State.bits64]), row by row and coefficient by coefficient,
+    so a sample is a function of the stream's state alone. Callers that
+    fan sampling out over domains give each job its own stream, split
+    from theirs in a fixed order before any job runs. *)
+
+(** Uniform sample over the full modulus, evaluation form: per prime
+    [p], two candidates per word, each masked to the bit length of
+    [p - 1] and rejected at or above [p], so residues are exactly
+    uniform. *)
 val sample_uniform : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 
-(** Ternary secret in {-1,0,1}^N, returned in evaluation form. *)
+(** Ternary secret in {-1,0,1}^N, returned in evaluation form: 2-bit
+    candidates, 31 per word, with 3 rejected, so the three values are
+    equally likely. *)
 val sample_ternary : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 
-(** Centered-binomial error (sigma ~ 3.2), returned in evaluation form. *)
+(** Centered-binomial error, returned in evaluation form: one word per
+    coefficient, the popcount of its low 21 bits minus the popcount of
+    the next 21 (21 coin pairs: variance 10.5, sigma ~ 3.24). *)
 val sample_error : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 
 (** Centered coefficients over the full modulus Q, in

@@ -32,7 +32,7 @@ KERNELS = {
         "Rns_poly",
         ["add", "sub", "neg", "mul", "mul_inplace", "add_inplace", "mul_acc", "mul_scalar_int",
          "rescale_many", "galois_rows", "galois", "of_small_coeffs", "of_float_coeffs",
-         "to_float_coeffs"],
+         "to_float_coeffs", "sample_uniform", "sample_error", "sample_ternary"],
     ),
     "lib/ckks/keys.ml": (
         "eva_ckks",

@@ -441,6 +441,40 @@ let test_allocation_budgets () =
       check "pointwise multiply" 4096.0 (fun () -> ignore (Rp.mul a b)))
     [ 8; 12 ]
 
+(* Keys are a function of the seed: every RLWE sample draws from its
+   own stream, so which domain runs which job, which changes from run
+   to run, changes no bit. At N = 2^12 each of the 13 jobs (public key,
+   4 relin digits, 2 x 4 Galois digits) takes about a millisecond, so a
+   second domain takes jobs. The RNG left after keygen is pinned too,
+   through an encryption drawn from it. *)
+let test_keygen_deterministic () =
+  let ctx = Ctx.make ~ignore_security:true ~n:4096 ~data_bits:[ 60; 40; 40; 40 ] ~special_bits:[ 60 ] () in
+  let elts = [ Ctx.galois_elt_rotate ctx 1; Ctx.galois_elt_rotate ctx 5 ] in
+  let rows_of rows = Array.map Eva_rns.Rowvec.to_array rows in
+  let key k =
+    let kb, ka = Keys.switch_key_rows k in
+    (Array.map rows_of kb, Array.map rows_of ka)
+  in
+  let snapshot () =
+    let rng = Random.State.make [| 99 |] in
+    let _, ks = Keys.generate ctx rng ~galois_elts:elts in
+    let b, a = Keys.public_parts ks.Keys.public in
+    let pt = Eval.encode ctx ~level:(Ctx.chain_length ctx) ~scale:(Float.ldexp 1.0 40) [| 0.5; -0.25 |] in
+    let ct = Eval.encrypt ctx ks rng pt in
+    ( (rows_of (Rp.rows b), rows_of (Rp.rows a)),
+      key ks.Keys.relin,
+      List.map (fun g -> key (Option.get (Keys.find_galois ks g))) elts,
+      Array.map (fun p -> rows_of (Rp.rows p)) ct.Eval.polys )
+  in
+  let first = snapshot () in
+  for run = 2 to 6 do
+    let (pk, relin, galois, ct) = snapshot () and (pk1, relin1, galois1, ct1) = first in
+    if pk <> pk1 then Alcotest.failf "run %d: public key differs from run 1" run;
+    if relin <> relin1 then Alcotest.failf "run %d: relin key differs from run 1" run;
+    if galois <> galois1 then Alcotest.failf "run %d: a Galois key differs from run 1" run;
+    if ct <> ct1 then Alcotest.failf "run %d: encryption after keygen differs from run 1" run
+  done
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ckks"
@@ -484,5 +518,6 @@ let () =
         ] );
       ("failure injection", [ Alcotest.test_case "constraint violations" `Quick test_constraint_violations ]);
       ("kernels", [ Alcotest.test_case "words/op within allocation budgets" `Quick test_allocation_budgets ]);
+      ("keys", [ Alcotest.test_case "keygen is a function of the seed" `Quick test_keygen_deterministic ]);
       ("property", [ qt prop_homomorphic_add ]);
     ]

@@ -143,6 +143,113 @@ let test_sampling () =
   let e = Rp.sample_error st ~tables:tb in
   Array.iter (fun c -> Alcotest.(check bool) "error bounded" true (abs c <= 21)) (ints_of_poly e)
 
+(* {2 Sampler distributions}
+
+   2^16 draws from one stream, checked against the exact distribution:
+   a chi-square statistic against its upper 10^-5 quantile
+   (Wilson-Hilferty), means and variances within five standard errors
+   of their sample size. *)
+let draws = 1 lsl 16
+let dist_n = 4096
+
+let chi_square_limit df =
+  let df = float_of_int df in
+  let h = 2.0 /. (9.0 *. df) in
+  df *. ((1.0 -. h +. (4.265 *. sqrt h)) ** 3.0)
+
+let check_chi_square what observed expected =
+  let stat = ref 0.0 in
+  Array.iteri (fun i e -> stat := !stat +. (((float_of_int observed.(i) -. e) ** 2.0) /. e)) expected;
+  let limit = chi_square_limit (Array.length expected - 1) in
+  if !stat > limit then Alcotest.failf "%s: chi-square %.1f over %d bins exceeds %.1f" what !stat (Array.length expected) limit
+
+(* [f i r] on every residue [r] of row [i], over [draws / dist_n] samples;
+   error and ternary samples are read in coefficient form. *)
+let iter_draws sampler ~tables ~coeff f =
+  let st = Random.State.make [| 41 |] in
+  for _ = 1 to draws / dist_n do
+    let t = sampler st ~tables in
+    if coeff then Rp.to_coeff t;
+    Array.iteri
+      (fun i row ->
+        for j = 0 to Eva_rns.Rowvec.length row - 1 do
+          f i (Eva_rns.Rowvec.get row j)
+        done)
+      (Rp.rows t)
+  done
+
+let centered p r = if r > p / 2 then r - p else r
+
+let test_error_distribution () =
+  let tables = make_tables ~n:dist_n [ 30 ] in
+  let p = Ntt.modulus tables.(0) in
+  let counts = Array.make 43 0 and sum = ref 0 and sum_sq = ref 0 in
+  iter_draws Rp.sample_error ~tables ~coeff:true (fun _ r ->
+      let c = centered p r in
+      if abs c > 21 then Alcotest.failf "error coefficient %d outside [-21, 21]" c;
+      counts.(c + 21) <- counts.(c + 21) + 1;
+      sum := !sum + c;
+      sum_sq := !sum_sq + (c * c));
+  (* c + 21 ~ Binomial(42, 1/2); tails with fewer than 5 expected
+     draws fold into the outermost kept bins. *)
+  let choose k = List.fold_left (fun acc i -> acc *. float_of_int (42 - k + i) /. float_of_int i) 1.0 (List.init k succ) in
+  let expected = Array.init 43 (fun k -> float_of_int draws *. choose k /. 0x1p42) in
+  let lo = ref 0 in
+  while expected.(!lo) < 5.0 do
+    incr lo
+  done;
+  let bin k = min (max k !lo) (42 - !lo) - !lo in
+  let observed = Array.make (43 - (2 * !lo)) 0 and expected' = Array.make (43 - (2 * !lo)) 0.0 in
+  for k = 0 to 42 do
+    observed.(bin k) <- observed.(bin k) + counts.(k);
+    expected'.(bin k) <- expected'.(bin k) +. expected.(k)
+  done;
+  check_chi_square "sample_error" observed expected';
+  let nf = float_of_int draws in
+  let mean = float_of_int !sum /. nf in
+  let var = (float_of_int !sum_sq /. nf) -. (mean *. mean) in
+  (* Variance 10.5; the fourth central moment of the centered
+     Binomial(42, 1/2) is 3 * 10.5^2 + 10.5 * (1 - 6/4) = 325.5. *)
+  if Float.abs mean > 5.0 *. sqrt (10.5 /. nf) then Alcotest.failf "error mean %.4f" mean;
+  if Float.abs (var -. 10.5) > 5.0 *. sqrt ((325.5 -. (10.5 *. 10.5)) /. nf) then Alcotest.failf "error variance %.4f" var
+
+let test_uniform_distribution () =
+  (* The largest 30-bit NTT prime rejects almost nothing; 2^16 + 1 is
+     just above a power of two, the worst case: about half the
+     candidates are rejected. *)
+  let p30 = P.gen ~bits:30 ~two_n:(2 * dist_n) ~avoid:(fun _ -> false) in
+  let primes = [| p30; 65537 |] in
+  let tables = Array.map (Ntt.make ~n:dist_n) primes in
+  let counts = Array.make_matrix 2 64 0 in
+  iter_draws Rp.sample_uniform ~tables ~coeff:false (fun i r ->
+      let p = primes.(i) in
+      if r < 0 || r >= p then Alcotest.failf "residue %d outside [0, %d)" r p;
+      let b = r * 64 / p in
+      counts.(i).(b) <- counts.(i).(b) + 1);
+  Array.iteri
+    (fun i p ->
+      (* Bucket b holds the residues r with r * 64 / p = b. *)
+      let first b = ((b * p) + 63) / 64 in
+      let expected = Array.init 64 (fun b -> float_of_int (draws * (first (b + 1) - first b)) /. float_of_int p) in
+      check_chi_square (Printf.sprintf "sample_uniform mod %d" p) counts.(i) expected)
+    primes
+
+let test_ternary_distribution () =
+  let tables = make_tables ~n:dist_n [ 30 ] in
+  let p = Ntt.modulus tables.(0) in
+  let counts = Array.make 3 0 in
+  iter_draws Rp.sample_ternary ~tables ~coeff:true (fun _ r ->
+      let c = centered p r in
+      if abs c > 1 then Alcotest.failf "ternary coefficient %d" c;
+      counts.(c + 1) <- counts.(c + 1) + 1);
+  let nf = float_of_int draws in
+  let sd = sqrt (nf *. (1.0 /. 3.0) *. (2.0 /. 3.0)) in
+  Array.iteri
+    (fun i k ->
+      if Float.abs (float_of_int k -. (nf /. 3.0)) > 5.0 *. sd then
+        Alcotest.failf "ternary value %d drawn %d times of %d" (i - 1) k draws)
+    counts
+
 (* Schoolbook negacyclic product over the integers; coefficients are
    small enough that native ints are exact, so this is an independent
    reference for the NTT/Barrett path via to_float_coeffs. *)
@@ -382,6 +489,31 @@ let prop_rescale_many =
         (Lazy.force rescale_chains);
       true)
 
+let prop_rescale_many_in_place =
+  QCheck2.Test.make ~name:"rescale_many in place = into a fresh block" ~count:20
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 31 |] in
+      List.iter
+        (fun (log_n, tables) ->
+          let x = Rp.of_ntt_rows ~tables (Array.map (edge_coeff_row st) tables) in
+          let rows_of p = Array.map Rv.to_array (Rp.rows p) in
+          List.iter
+            (fun (form, c) ->
+              if form = `Coeff then Rp.to_coeff x else Rp.to_ntt x;
+              let own = Rp.copy x in
+              let fresh = Rp.rescale_many x c and inplace = Rp.rescale_many ~in_place:true own c in
+              if rows_of fresh <> rows_of inplace || Rp.is_ntt fresh <> Rp.is_ntt inplace then
+                QCheck2.Test.fail_reportf "log N %d, %d dropped: in-place result differs" log_n c;
+              Array.iteri
+                (fun i row ->
+                  if row != (Rp.rows own).(i) then
+                    QCheck2.Test.fail_reportf "log N %d, %d dropped: row %d is not the input's" log_n c i)
+                (Rp.rows inplace))
+            [ (`Ntt, 1); (`Ntt, 2); (`Ntt, 3); (`Coeff, 1); (`Coeff, 2); (`Coeff, 3) ])
+        (Lazy.force rescale_chains);
+      true)
+
 (* {2 Float coefficient conversions}
 
    Encoding rounds each double half away from zero and reduces it
@@ -585,7 +717,13 @@ let () =
           Alcotest.test_case "NTT fast path" `Quick test_galois_ntt_matches_coeff;
           Alcotest.test_case "composition" `Quick test_galois_composition;
         ] );
-      ("sampling", [ Alcotest.test_case "ternary and error" `Quick test_sampling ]);
+      ( "sampling",
+        [
+          Alcotest.test_case "ternary and error" `Quick test_sampling;
+          Alcotest.test_case "error is binomial(42, 1/2) - 21" `Quick test_error_distribution;
+          Alcotest.test_case "uniform residues" `Quick test_uniform_distribution;
+          Alcotest.test_case "ternary frequencies" `Quick test_ternary_distribution;
+        ] );
       ( "coeffs",
         [
           Alcotest.test_case "encode residues match oracle" `Quick test_encode_matches_oracle;
@@ -602,5 +740,6 @@ let () =
           qt prop_mul_commutative;
           qt prop_mul_distributes;
           qt prop_rescale_many;
+          qt prop_rescale_many_in_place;
         ] );
     ]
