@@ -244,7 +244,13 @@ let run_cmd =
       let r = Parallel.execute_on ~workers engine c in
       Printf.printf "execute: %d lane(s) in one evaluation on %d worker(s), %.3fs (peak live values %d)\n"
         batch workers r.Parallel.timings.Executor.execute_seconds r.Parallel.peak_live_values;
-      if stats then show_stats r.Parallel.timings;
+      if stats then begin
+        show_stats r.Parallel.timings;
+        let f = Executor.key_footprint engine in
+        let mib words = float_of_int (8 * words) /. 1048576.0 in
+        Printf.printf "keys: %d switch keys, %.2f MiB held, %.2f MiB at full depth\n"
+          f.Eva_ckks.Keys.switch_keys (mib f.Eva_ckks.Keys.held_words) (mib f.Eva_ckks.Keys.full_words)
+      end;
       Array.iteri
         (fun b member ->
           let lane (name, v) = (name, Executor.extract_lane ~lanes:batch ~lane:b v) in

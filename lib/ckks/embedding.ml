@@ -6,7 +6,6 @@ type t = {
 }
 
 let slots t = t.slots
-let rot_group t = t.rot_group
 
 let make ~slots =
   if slots < 1 || slots land (slots - 1) <> 0 then invalid_arg "Embedding.make: slots must be a power of two";

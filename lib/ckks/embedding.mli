@@ -20,7 +20,3 @@ val embed_inverse : t -> Complex.t array -> unit
 
 (** In-place inverse of {!embed_inverse}: packed coefficients -> slots. *)
 val embed_forward : t -> Complex.t array -> unit
-
-(** [rot_group t] has [rot_group.(j) = 5^j mod 2N]; rotation by [r] slots
-    is the ring automorphism X -> X^(5^r). *)
-val rot_group : t -> int array

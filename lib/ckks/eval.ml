@@ -182,7 +182,8 @@ let rotate_hoisted ctx ks ct steps =
   let normed = List.map (fun s -> ((s mod slots) + slots) mod slots) steps in
   if List.for_all (fun s -> s = 0) normed then List.map (fun _ -> ct) normed
   else begin
-    (* Resolve every key before paying for the decomposition. *)
+    (* Resolve and depth-check every key before paying for the
+       decomposition. *)
     let keys =
       List.map
         (fun s ->
@@ -190,7 +191,9 @@ let rotate_hoisted ctx ks ct steps =
           else
             let g = Context.galois_elt_rotate ctx s in
             match Keys.find_galois ks g with
-            | Some key -> Some (g, key)
+            | Some key ->
+                Keys.check_depth key ~level:ct.level;
+                Some (g, key)
             | None -> raise (Missing_galois_key g))
         normed
     in

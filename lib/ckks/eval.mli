@@ -44,7 +44,9 @@ val multiply : ciphertext -> ciphertext -> ciphertext
 
 val multiply_plain : ciphertext -> plaintext -> ciphertext
 
-(** Reduce a size-3 ciphertext to size 2. *)
+(** Reduce a size-3 ciphertext to size 2. A relinearization key
+    shallower than the ciphertext's level raises EVA-E607
+    ({!Keys.check_depth}), as does a Galois key in {!rotate}. *)
 val relinearize : Context.t -> Keys.keyset -> ciphertext -> ciphertext
 
 (** Drop the last element, dividing the message (and scale) by it. *)
@@ -63,7 +65,8 @@ val rotate : Context.t -> Keys.keyset -> ciphertext -> int -> ciphertext
     mapping {!rotate} over [steps] — residue for residue — but the
     per-rotation cost drops to an inner product once the shared
     decomposition is paid for. Raises {!Missing_galois_key} before any
-    work if a step's key is absent. *)
+    work if a step's key is absent, and EVA-E607 if a step's key is
+    shallower than [ct]'s level. *)
 val rotate_hoisted : Context.t -> Keys.keyset -> ciphertext -> int list -> ciphertext list
 
 (** Complex-conjugate every slot (the Galois element X -> X^(2N-1));

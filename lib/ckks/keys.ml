@@ -2,30 +2,41 @@ module Ntt = Eva_rns.Ntt
 module Modarith = Eva_rns.Modarith
 module Rowvec = Eva_rns.Rowvec
 module Rns_poly = Eva_poly.Rns_poly
+module Diag = Eva_diag.Diag
 
 (* Secret key as raw NTT rows over the full chain (data then special). *)
 type secret = { s_rows : Rowvec.t array }
 
 type public_key = { pk_b : Rns_poly.t; pk_a : Rns_poly.t }
 
-(* One digit per data modulus element; rows span the full chain. *)
-type switch_key = { kb : Rowvec.t array array; ka : Rowvec.t array array }
+(* A key of depth d serves ciphertexts of up to d elements: one digit
+   per element below d, each over the first d elements' primes then the
+   special primes (the rows a switch at level d reads). *)
+type switch_key = { depth : int; kb : Rowvec.t array array; ka : Rowvec.t array array }
 
 type keyset = { public : public_key; relin : switch_key; galois : (int, switch_key) Hashtbl.t }
 
-(* [generate_switch_key ctx ~tables ~s ~s' ~lo ~count st] is one RLWE
-   sample (b, a) under [s], drawn from stream [st] alone: a uniform, e
-   an error and b = -(a*s) - e + (P mod q_i)*s' on rows lo..lo+count-1
-   (P the special modulus). With the rows of modulus element e, that is
-   digit e of the switching key for [s'], which encrypts [P * W_e * s']
-   (W_e the element's CRT basis element, so P*W_e = P mod the element's
-   own primes and 0 elsewhere); with [count = 0] it is the public key.
-   b is computed in one pass into e's own fresh rows. *)
-let generate_switch_key ctx ~tables ~s ~s' ~lo ~count st =
+type depths = { relin_depth : int; galois_depths : (int * int) list }
+
+(* [generate_switch_key ctx ~tables ~drop ~s ~s' ~lo ~count st] is one
+   RLWE sample (b, a) under [s], drawn from stream [st] alone: a
+   uniform, e an error and b = -(a*s) - e + (P mod q_i)*s' on rows
+   lo..lo+count-1 (P the special modulus). With the rows of modulus
+   element e, that is digit e of the switching key for [s'], which
+   encrypts [P * W_e * s'] (W_e the element's CRT basis element, so
+   P*W_e = P mod the element's own primes and 0 elsewhere); with
+   [count = 0] it is the public key. The sample spans [tables] less
+   the rows [drop] names ({!Rns_poly.sample_uniform_cut}), whose
+   uniform words are drawn and discarded and whose error rows are never
+   transformed; [s] and [s'] hold the kept rows only, and the digit's
+   own rows lie below the dropped ones. b is computed in one pass into
+   its own fresh rows. *)
+let generate_switch_key ctx ~tables ~drop ~s ~s' ~lo ~count st =
   let full = Context.full_tables ctx in
   let nd = Context.num_data_primes ctx in
   let ns = Context.num_special_primes ctx in
-  let a = Rns_poly.sample_uniform st ~tables in
+  let a = Rns_poly.sample_uniform_cut st ~tables ~drop in
+  let tables = Rns_poly.tables a in
   let b = Rns_poly.rows (Rns_poly.sample_error st ~tables) in
   let a_rows = Rns_poly.rows a in
   Array.iteri
@@ -72,48 +83,104 @@ let public_parts pk = (pk.pk_b, pk.pk_a)
 (* Every RLWE sample is one job with its own stream. The streams are
    split from [rng] before any job runs, in a fixed order: the public
    key, the relin key's digits, then each distinct Galois element's
-   digits in [galois_elts] order. The keys, and the state [rng] is left
-   in, are thus a function of [rng]'s state on entry, whichever domain
-   runs which job. *)
-let generate ctx rng ~galois_elts =
+   digits in [galois_elts] order, one stream per (key, element) pair
+   whether or not the key's depth keeps that digit. The keys, and the
+   state [rng] is left in, are thus a function of [rng]'s state on
+   entry, whichever domain runs which job, and a cut key's rows are the
+   full key's. *)
+let generate ?depths ctx rng ~galois_elts =
   let full = Context.full_tables ctx in
+  let ne = Context.chain_length ctx in
+  let nd = Context.num_data_primes ctx in
   let s = Rns_poly.sample_ternary rng ~tables:full in
   let s_rows = Rns_poly.rows s in
   (* Public key over the data chain only (fresh ciphertexts never carry
      the special element). *)
-  let data_tables = Context.tables_for_level ctx (Context.chain_length ctx) in
+  let data_tables = Context.tables_for_level ctx ne in
   let galois_elts = List.rev (List.fold_left (fun acc g -> if List.mem g acc then acc else g :: acc) [] galois_elts) in
-  let targets = Rns_poly.mul s s :: List.map (Rns_poly.galois s) galois_elts in
-  let ranges = Array.to_list (Context.element_prime_ranges ctx) in
-  let specs =
-    (data_tables, s_rows, (0, 0))
-    :: List.concat_map (fun s' -> List.map (fun range -> (full, Rns_poly.rows s', range)) ranges) targets
+  (* [None] is the relin key, [Some g] the Galois key for [g]. *)
+  let depth_of key =
+    let d =
+      match (depths, key) with
+      | None, _ -> ne
+      | Some ds, None -> ds.relin_depth
+      | Some ds, Some g -> (
+          match List.filter_map (fun (g', d) -> if g' = g then Some d else None) ds.galois_depths with
+          | [] -> ne
+          | d :: rest -> List.fold_left max d rest)
+    in
+    if d < 0 || d > ne then invalid_arg (Printf.sprintf "Keys.generate: depth %d outside [0, %d]" d ne);
+    d
   in
-  let streams = List.init (List.length specs) (fun _ -> Random.State.split rng) in
+  let targets =
+    (Rns_poly.mul s s, depth_of None) :: List.map (fun g -> (Rns_poly.galois s g, depth_of (Some g))) galois_elts
+  in
+  let ranges = Context.element_prime_ranges ctx in
+  let specs =
+    Some (data_tables, (0, 0), s_rows, s_rows, (0, 0))
+    :: List.concat_map
+         (fun (s', d) ->
+           (* A key of depth [d] keeps its first [d] elements' primes,
+              then the special primes. *)
+           let k = if d = 0 then 0 else Context.prime_count_for_level ctx d in
+           let kept rows = Array.append (Array.sub rows 0 k) (Array.sub rows nd (Array.length rows - nd)) in
+           let s_kept = kept s_rows and s'_kept = kept (Rns_poly.rows s') in
+           List.init ne (fun e -> if e < d then Some (full, (k, nd - k), s_kept, s'_kept, ranges.(e)) else None))
+         targets
+  in
+  let streams = List.map (fun _ -> Random.State.split rng) specs in
+  let jobs = List.filter_map (fun (spec, st) -> Option.map (fun spec -> (spec, st)) spec) (List.combine specs streams) in
   let results =
     Array.of_list
       (Fanout.map ~workers:(Domain.recommended_domain_count ())
-         (fun ((tables, s', (lo, count)), st) -> generate_switch_key ctx ~tables ~s:s_rows ~s' ~lo ~count st)
-         (List.combine specs streams))
-  in
-  let ne = List.length ranges in
-  let key k =
-    let digits = Array.sub results (1 + (k * ne)) ne in
-    { kb = Array.map fst digits; ka = Array.map snd digits }
+         (fun ((tables, drop, s, s', (lo, count)), st) -> generate_switch_key ctx ~tables ~drop ~s ~s' ~lo ~count st)
+         jobs)
   in
   let pk_b, pk_a = results.(0) in
   let public =
     { pk_b = Rns_poly.of_ntt_rows ~tables:data_tables pk_b; pk_a = Rns_poly.of_ntt_rows ~tables:data_tables pk_a }
   in
+  (* Kept digits are consecutive in [results], key by key. *)
+  let next = ref 1 in
+  let keys =
+    List.map
+      (fun (_, d) ->
+        let digits = Array.sub results !next d in
+        next := !next + d;
+        { depth = d; kb = Array.map fst digits; ka = Array.map snd digits })
+      targets
+  in
   let galois = Hashtbl.create 8 in
-  List.iteri (fun k g -> Hashtbl.replace galois g (key (k + 1))) galois_elts;
-  ({ s_rows }, { public; relin = key 0; galois })
+  List.iter2 (fun g k -> Hashtbl.replace galois g k) galois_elts (List.tl keys);
+  ({ s_rows }, { public; relin = List.hd keys; galois })
 
 let find_galois ks g = Hashtbl.find_opt ks.galois g
 
+let switch_key_depth k = k.depth
 let switch_key_rows k = (k.kb, k.ka)
-let switch_key_of_rows ~kb ~ka = { kb; ka }
+let switch_key_of_rows ~kb ~ka = { depth = Array.length kb; kb; ka }
+
 let public_of_parts ~b ~a = { pk_b = b; pk_a = a }
+
+type footprint = { switch_keys : int; held_words : int; full_words : int }
+
+let footprint ctx ks =
+  let keys = ks.relin :: Hashtbl.fold (fun _ k acc -> k :: acc) ks.galois [] in
+  let n = Context.degree ctx in
+  let rows k = Array.fold_left (fun acc digit -> acc + Array.length digit) 0 k.kb in
+  let full_rows = Context.chain_length ctx * Array.length (Context.full_tables ctx) in
+  {
+    switch_keys = List.length keys;
+    held_words = List.fold_left (fun acc k -> acc + (2 * n * rows k)) 0 keys;
+    full_words = 2 * n * full_rows * List.length keys;
+  }
+
+(* Before any decomposition, so a too-shallow key is a structured error
+   rather than an out-of-bounds read of its rows. *)
+let check_depth key ~level =
+  if key.depth < level then
+    Diag.error ~layer:Diag.Crypto ~code:Diag.crypto_key_depth
+      "switching key serves up to %d chain elements; the ciphertext has %d" key.depth level
 
 (* The *centered* integer value of a digit (the residues of one modulus
    element), via Garner within the pair — D = ra + qa * ((rb - ra) / qa
@@ -178,6 +245,7 @@ let digit_values_into ~full ~lo ~count rows buf =
    make [apply_decomposed] allocation-light but also mean a [decomposed]
    value must not be shared across threads. *)
 type decomposed = {
+  d_level : int;  (* chain elements of the decomposed polynomial *)
   d_m : int;  (* data primes at this level *)
   d_target : Ntt.table array;  (* level tables ++ special tables *)
   d_elems : int array;  (* live modulus-element indices *)
@@ -245,6 +313,7 @@ let decompose ctx ~level c =
   in
   let dummy = Rowvec.create 0 in
   {
+    d_level = level;
     d_m = m;
     d_target = target;
     d_elems = Array.map (fun (e, _, _) -> e) live;
@@ -255,10 +324,11 @@ let decompose ctx ~level c =
   }
 
 let apply_decomposed ?galois ctx key d =
+  check_depth key ~level:d.d_level;
   let target = d.d_target in
   let tm = Array.length target in
   let m = d.d_m in
-  let nd = Context.num_data_primes ctx in
+  let ns = Context.num_special_primes ctx in
   let n = Ntt.size target.(0) in
   let acc0 = Rns_poly.zero ~tables:target in
   let acc1 = Rns_poly.zero ~tables:target in
@@ -289,8 +359,10 @@ let apply_decomposed ?galois ctx key d =
             d.d_perm_scratch
       in
       let digit = Rns_poly.of_ntt_rows ~tables:target rows in
+      (* The key's special rows follow its own data rows. *)
+      let key_data = Array.length key.kb.(e) - ns in
       for j = 0 to tm - 1 do
-        let src = if j < m then j else nd + (j - m) in
+        let src = if j < m then j else key_data + (j - m) in
         d.d_kb.(j) <- key.kb.(e).(src);
         d.d_ka.(j) <- key.ka.(e).(src)
       done;
@@ -299,7 +371,8 @@ let apply_decomposed ?galois ctx key d =
     d.d_elems;
   (* Divide by the special modulus P with rounding, in the accumulators:
      their special rows are the division's digit scratch. *)
-  let ns = Context.num_special_primes ctx in
   (Rns_poly.rescale_many ~in_place:true acc0 ns, Rns_poly.rescale_many ~in_place:true acc1 ns)
 
-let switch ctx key ~level c = apply_decomposed ctx key (decompose ctx ~level c)
+let switch ctx key ~level c =
+  check_depth key ~level;
+  apply_decomposed ctx key (decompose ctx ~level c)

@@ -185,22 +185,19 @@ let read_ciphertext ctx s ~pos =
 (* Evaluation keys                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A switching key is its depth d, then d (b) digits and d (a) digits,
+   each over the first d elements' primes and the special primes. *)
 let write_switch_key buf k =
   let kb, ka = Keys.switch_key_rows k in
-  Printf.bprintf buf "%d\n" (Array.length kb);
+  Printf.bprintf buf "%d\n" (Keys.switch_key_depth k);
   Array.iter (write_rows buf) kb;
   Array.iter (write_rows buf) ka
 
 let read_switch_key ctx s ~pos =
-  let full = Context.full_tables ctx in
-  let ne = Context.chain_length ctx in
-  let at0 = !pos in
-  let digits = read_int s ~pos in
-  if digits <> ne then
-    wire_error s ~at:at0 ~code:Diag.wire_mismatch
-      "switch key with %d digits where the context has %d modulus elements" digits ne;
-  let kb = Array.init digits (fun _ -> read_rows s ~pos ~tables:full) in
-  let ka = Array.init digits (fun _ -> read_rows s ~pos ~tables:full) in
+  let depth = read_int_in s ~pos ~what:"switch key depth" ~lo:0 ~hi:(Context.chain_length ctx) in
+  let digit _ = read_rows s ~pos ~tables:(Context.ks_tables ctx depth) in
+  let kb = Array.init depth digit in
+  let ka = Array.init depth digit in
   Keys.switch_key_of_rows ~kb ~ka
 
 let write_eval_keys buf ks =

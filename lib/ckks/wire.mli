@@ -33,11 +33,14 @@ val write_ciphertext : Buffer.t -> Eval.ciphertext -> unit
 val read_ciphertext : Context.t -> string -> pos:int ref -> Eval.ciphertext
 
 (** Evaluation keys only: relinearization and Galois keys. The secret key
-    never leaves the client. *)
+    never leaves the client. Each switching key is written as its depth
+    and only the digits and rows it holds ({!Keys.switch_key_rows}). *)
 val write_eval_keys : Buffer.t -> Keys.keyset -> unit
 
 (** Rebuild a keyset usable for evaluation (but not decryption — the
-    secret key has its own side of the wire and stays with the client). *)
+    secret key has its own side of the wire and stays with the client).
+    Each switching key's depth is range-checked against the chain
+    (EVA-E403) before its rows are allocated. *)
 val read_eval_keys : Context.t -> string -> pos:int ref -> Keys.keyset
 
 (** Round-trip helpers used by tests. *)

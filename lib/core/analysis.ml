@@ -147,22 +147,43 @@ let num_polys p =
 
 (* Left steps are positive, right steps negative. A right step cannot be
    folded to [vec_size - k]: the ciphertext slot count may exceed vec_size
-   (tiled inputs), and only the executor knows it. *)
+   (tiled inputs), and only the executor knows it. [None] for a node
+   that needs no rotation key. *)
+let rotation_step p n =
+  let norm k = ((k mod p.Ir.vec_size) + p.Ir.vec_size) mod p.Ir.vec_size in
+  match n.Ir.op with
+  | Ir.Rotate_left k when norm k <> 0 -> Some (norm k)
+  | Ir.Rotate_right k when norm k <> 0 -> Some (-norm k)
+  | _ -> None
+
 let rotation_steps p =
   let ty = types p in
   let steps = Hashtbl.create 16 in
-  let norm k = ((k mod p.Ir.vec_size) + p.Ir.vec_size) mod p.Ir.vec_size in
   List.iter
     (fun n ->
-      if Hashtbl.find ty n.Ir.id = Ir.Cipher then begin
-        match n.Ir.op with
-        | Ir.Rotate_left k -> Hashtbl.replace steps (norm k) ()
-        | Ir.Rotate_right k -> Hashtbl.replace steps (-norm k) ()
-        | _ -> ()
-      end)
+      if Hashtbl.find ty n.Ir.id = Ir.Cipher then Option.iter (fun step -> Hashtbl.replace steps step ()) (rotation_step p n))
     p.Ir.all_nodes;
-  Hashtbl.remove steps 0;
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) steps [])
+
+(* [chains] holds exactly the Cipher nodes, so it doubles as their type. *)
+let key_levels p ~chains =
+  let least = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      match Hashtbl.find_opt chains n.Ir.id with
+      | None -> ()
+      | Some ch ->
+          let note key =
+            let l = List.length ch in
+            Hashtbl.replace least key (min l (Option.value (Hashtbl.find_opt least key) ~default:l))
+          in
+          (match (n.Ir.op, rotation_step p n) with
+          | _, Some step -> note (Some step)
+          | Ir.Relinearize, None -> note None
+          | _ -> ()))
+    p.Ir.all_nodes;
+  let steps = Hashtbl.fold (fun key l acc -> match key with Some s -> (s, l) :: acc | None -> acc) least [] in
+  (List.sort compare steps, Hashtbl.find_opt least None)
 
 let multiplicative_depth p =
   let ty = types p in

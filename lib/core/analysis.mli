@@ -48,6 +48,14 @@ val num_polys : Ir.program -> (int, int) Hashtbl.t
     nonzero). Plaintext rotations need no keys and are excluded. *)
 val rotation_steps : Ir.program -> int list
 
+(** [key_levels p ~chains] ([chains] is [chains p]) is the least
+    conforming chain length at which [p] switches keys on a Cipher
+    value: for each of {!rotation_steps}, in its order, and over its
+    RELINEARIZE nodes ([None] when it has none). A key used at chain
+    length [l] must serve ciphertexts of (chain elements - l)
+    elements. *)
+val key_levels : Ir.program -> chains:(int, chain) Hashtbl.t -> (int * int) list * int option
+
 (** Multiplicative depth of the program (maximum number of MULTIPLY nodes
     with at least one Cipher operand on any root-to-output path). *)
 val multiplicative_depth : Ir.program -> int

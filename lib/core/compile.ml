@@ -21,11 +21,17 @@ let batch c ~lanes =
    slot-space offsets (left rotations; [Params] reports right steps as
    negative). Batched variants live at a wider vec_size, so their steps
    must NOT be re-normalized modulo the base program's width. *)
-let slot_rotations c =
+let slot_rotation_depths c =
   let vs = c.program.Ir.vec_size in
-  List.sort_uniq compare
-    (List.filter (fun k -> k <> 0)
-       (List.map (fun k -> ((k mod vs) + vs) mod vs) c.params.Params.rotations))
+  let depths = Hashtbl.create 16 in
+  List.iter
+    (fun (k, d) ->
+      let k = ((k mod vs) + vs) mod vs in
+      if k <> 0 then Hashtbl.replace depths k (max d (Option.value (Hashtbl.find_opt depths k) ~default:0)))
+    c.params.Params.key_depths.Params.rotation_depths;
+  List.sort compare (Hashtbl.fold (fun k d acc -> (k, d) :: acc) depths [])
+
+let slot_rotations c = List.map fst (slot_rotation_depths c)
 
 let batch_widths c ~max_batch ~slots =
   let vs = c.program.Ir.vec_size in

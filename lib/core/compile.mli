@@ -33,6 +33,11 @@ val batch : compiled -> lanes:int -> compiled
     left-rotation slot offsets (deduplicated, sorted). *)
 val slot_rotations : compiled -> int list
 
+(** {!slot_rotations} paired with the deepest level, in chain elements,
+    at which the program rotates by each ([Params.key_depths], the
+    largest over signed steps that land on one slot offset). *)
+val slot_rotation_depths : compiled -> (int * int) list
+
 (** [batch_widths c ~max_batch ~slots] is the ascending list of
     power-of-two batch widths a server runs [c] at: every [lanes] up to
     [max_batch] whose [lanes * vec_size] (the compiled, possibly

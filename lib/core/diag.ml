@@ -45,6 +45,7 @@ let crypto_size = 603
 let crypto_missing_key = 604
 let crypto_context = 605
 let crypto_security = 606
+let crypto_key_depth = 607
 
 let layer_of_code code =
   match code / 100 with

@@ -117,6 +117,10 @@ val crypto_context : int  (** 605: context parameters unusable *)
 
 val crypto_security : int  (** 606: security-standard violation *)
 
+val crypto_key_depth : int
+(** 607: a key switch above the switching key's depth (the key was
+    generated for fewer chain elements than the ciphertext has) *)
+
 val make :
   ?node_id:int -> ?op:string -> ?pos:int * int -> layer:layer -> code:int -> string -> t
 
@@ -131,9 +135,6 @@ val layer_of_code : int -> layer
 (** Process exit status, distinct per layer: Parse 3, Validate 4,
     Compile 5, Wire 6, Execute 7, Crypto 8. *)
 val exit_code : layer -> int
-
-(** ["EVA-E501"]. *)
-val code_string : t -> string
 
 (** One-line report: ["EVA-E101 prog.eva:3:7: unknown opcode \"fob\""].
     Position and node anchors are included when present. *)

@@ -205,22 +205,27 @@ let keygen ?(seed = 1) ?(ignore_security = false) ?log_n ?(extra_rotations = [])
   (* Ciphertexts are periodic in vec_size (inputs replicate), so any
      rotation step congruent mod vec_size acts identically; keys are
      generated for the same left-normalized steps the evaluator uses. *)
-  let galois_elts =
-    List.map
-      (fun step -> Ctx.galois_elt_rotate ctx (((step mod vs) + vs) mod vs))
-      params.Params.rotations
+  let kd = params.Params.key_depths in
+  let base =
+    List.map (fun (step, d) -> (Ctx.galois_elt_rotate ctx (((step mod vs) + vs) mod vs), d)) kd.Params.rotation_depths
   in
+  let galois_elts = List.map fst base in
   (* [extra_rotations] are slot-space steps (already lane-normalized by
      e.g. {!Compile.batch_rotations}); they must not be re-reduced modulo
      this program's narrower vec_size. Appended after the base list so a
      caller passing none gets a bit-identical keyset. *)
-  let galois_elts =
-    galois_elts
-    @ List.filter
-        (fun g -> not (List.mem g galois_elts))
-        (List.sort_uniq compare (List.map (Ctx.galois_elt_rotate ctx) extra_rotations))
+  let extra_elts = List.sort_uniq compare (List.map (Ctx.galois_elt_rotate ctx) extra_rotations) in
+  let galois_elts = galois_elts @ List.filter (fun g -> not (List.mem g galois_elts)) extra_elts in
+  (* Each key is cut to the deepest level the program uses it at. Extra
+     steps carry no level, so their keys (shared ones included) keep the
+     full chain. *)
+  let depths =
+    {
+      Keys.relin_depth = kd.Params.relin_depth;
+      galois_depths = base @ List.map (fun g -> (g, Ctx.chain_length ctx)) extra_elts;
+    }
   in
-  let secret, keyset = Keys.generate ctx rng ~galois_elts in
+  let secret, keyset = Keys.generate ~depths ctx rng ~galois_elts in
   {
     ctx;
     secret;
@@ -257,13 +262,19 @@ let rebind_batched ?encrypt_workers ~seeds e compiled members =
       "Executor.rebind_batched: %d seeds for %d members" (Array.length seeds) (Array.length members);
   bind ?workers:encrypt_workers ~rng:(Random.State.make seeds) e compiled members
 
-(* Slot-space rotation steps of [compiled] whose Galois keys the engine
-   is missing — non-empty means [prepare] was not given the
-   [extra_rotations] this (typically batched) variant needs. *)
+(* Slot-space rotation steps of [compiled], with the depth it uses each
+   at, whose Galois key the engine lacks or holds too shallow: non-empty
+   means [prepare] was not given the [extra_rotations] this (typically
+   batched) variant needs. *)
 let missing_rotations e compiled =
   List.filter
-    (fun step -> Keys.find_galois e.keyset (Ctx.galois_elt_rotate e.ctx step) = None)
-    (Compile.slot_rotations compiled)
+    (fun (step, depth) ->
+      match Keys.find_galois e.keyset (Ctx.galois_elt_rotate e.ctx step) with
+      | None -> true
+      | Some key -> Keys.switch_key_depth key < depth)
+    (Compile.slot_rotation_depths compiled)
+
+let key_footprint e = Keys.footprint e.ctx e.keyset
 
 (* The encoding cache is keyed by plaintext *content* — the same mask
    vector reaching the executor through different IR nodes (BSGS kernels

@@ -50,9 +50,11 @@ type engine
 
 (** [keygen c] builds the context and keys for [c] and binds no input:
     bind with {!rebind} or {!rebind_batched} before {!run_graph}, which
-    raises EVA-E501 on an engine with unbound inputs. Keys are a function
-    of [seed] (default 1), so [keygen] and {!prepare} with the same
-    arguments hold identical keys. See {!execute} for [seed],
+    raises EVA-E501 on an engine with unbound inputs. Each switching key
+    is cut to the deepest level [c] uses it at ([Params.key_depths]);
+    the keys of [extra_rotations] span the full chain. Keys are a
+    function of [seed] (default 1), so [keygen] and {!prepare} with the
+    same arguments hold identical keys. See {!execute} for [seed],
     [ignore_security], [log_n]; [extra_rotations] as in {!prepare}. *)
 val keygen :
   ?seed:int -> ?ignore_security:bool -> ?log_n:int -> ?extra_rotations:int list ->
@@ -121,10 +123,14 @@ val rebind_batched :
   ?encrypt_workers:int -> seeds:int array -> engine -> Compile.compiled ->
   (string * Reference.binding) list array -> engine
 
-(** Slot-space rotation steps of [c] lacking Galois keys in the engine's
-    keyset (non-empty means {!prepare} needs [?extra_rotations] to run
-    this variant). *)
-val missing_rotations : engine -> Compile.compiled -> int list
+(** Slot-space rotation steps of [c] whose Galois key the engine's
+    keyset lacks, or holds shallower than [c] uses it, each paired with
+    the depth [c] needs ({!Compile.slot_rotation_depths}). Non-empty
+    means {!prepare} needs [?extra_rotations] to run this variant. *)
+val missing_rotations : engine -> Compile.compiled -> (int * int) list
+
+(** What the engine's switching keys hold ({!Eva_ckks.Keys.footprint}). *)
+val key_footprint : engine -> Eva_ckks.Keys.footprint
 
 (** Everything one graph evaluation produced: raw (still encrypted)
     outputs, wall time, optional per-node timings, and the high-water

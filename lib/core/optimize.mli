@@ -7,10 +7,10 @@
     - {!cse} merges structurally identical nodes (same opcode, same
       parameters, same declared scale) — frontends routinely emit
       duplicate rotations of the same ciphertext;
-    - {!fold_constants} evaluates pure plaintext subgraphs at compile
+    - constant folding evaluates pure plaintext subgraphs at compile
       time, so the executor never encodes or multiplies them slot by
       slot;
-    - {!strength_reduce} rewrites trivial identities: multiplying or
+    - strength reduction rewrites trivial identities: multiplying or
       rotating by compile-time no-ops (x * 1 with scale 0, rotation by
       0), double negation, and x - x into a zero constant.
 
@@ -19,15 +19,7 @@
 (** Merge structurally equal nodes; returns true if anything changed. *)
 val cse : Ir.program -> bool
 
-(** Evaluate constant (plaintext-only) subgraphs; vector constants are
-    folded up to [max_fold_size] elements (default: the program's
-    vec_size). *)
-val fold_constants : ?max_fold_size:int -> Ir.program -> bool
-
-(** Identity rewrites; returns true if anything changed. *)
-val strength_reduce : Ir.program -> bool
-
-(** All of the above, to quiescence. *)
+(** All three passes, to quiescence. *)
 val run : Ir.program -> unit
 
 (** {2 RotateMany hoist grouping}

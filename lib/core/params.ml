@@ -1,3 +1,5 @@
+type key_depths = { relin_depth : int; rotation_depths : (int * int) list }
+
 type t = {
   log_n : int;
   bit_sizes : int list;
@@ -5,6 +7,7 @@ type t = {
   special_bits : int list;
   rotations : int list;
   log_q : int;
+  key_depths : key_depths;
 }
 
 exception Selection_error of string
@@ -70,7 +73,17 @@ let select ?(s_f = Passes.default_s_f) p =
       ((min_int, min_int), [], [])
       candidates
   in
-  let rotations = Analysis.rotation_steps p in
+  let rotation_levels, relin_level = Analysis.key_levels p ~chains in
+  let rotations = List.map fst rotation_levels in
+  (* The chain has one element per entry of [c_m] and [factors_m], and
+     every input enters at its top. *)
+  let elements = List.length c_m + List.length factors_m in
+  let key_depths =
+    {
+      relin_depth = (match relin_level with Some l -> elements - l | None -> 0);
+      rotation_depths = List.map (fun (step, l) -> (step, elements - l)) rotation_levels;
+    }
+  in
   (* Degree: large enough for the batch size and for 128-bit security of
      the total modulus. Legalizing tiny factors can add a few bits, so
      iterate until stable. *)
@@ -91,6 +104,7 @@ let select ?(s_f = Passes.default_s_f) p =
         special_bits = [ s_f ];
         rotations;
         log_q;
+        key_depths;
       }
   in
   fit 10

@@ -6,6 +6,12 @@
     chain order the {!Executor} feeds to {!Eva_ckks.Context.make}
     (bottom element first, last element dropped first). *)
 
+(** The deepest level at which the program uses each switching key, in
+    chain elements: keygen cuts each key to it. [relin_depth] is 0 when
+    the program never relinearizes; [rotation_depths] pairs each step
+    of [rotations], in its order, with its depth. *)
+type key_depths = { relin_depth : int; rotation_depths : (int * int) list }
+
 type t = {
   log_n : int;  (** polynomial modulus degree, log2 *)
   bit_sizes : int list;  (** paper order: special, chain, output factors *)
@@ -13,6 +19,7 @@ type t = {
   special_bits : int list;
   rotations : int list;  (** distinct left-rotation steps needing keys *)
   log_q : int;  (** total modulus bits, data + special *)
+  key_depths : key_depths;
 }
 
 exception Selection_error of string

@@ -31,10 +31,6 @@ type packing = {
 (** Scale (log2) at which 0/1 pad masks are encoded. *)
 val mask_scale : int
 
-(** Upper bound on the widened slot count; groups that would exceed it
-    are left unvectorized. *)
-val max_packed_slots : int
-
 (** [run p] returns the vectorized program and its packing, or [(p,
     None)] unchanged when no profitable group exists. The result is a
     fresh program ([p] is not mutated) widened to

@@ -37,9 +37,6 @@ val gaussian3 : t -> image -> image
 val laplacian : t -> image -> image
 val box3 : t -> image -> image
 
-(** Pointwise polynomial [c0 + c1 z + ...]. *)
-val map_poly : t -> float list -> image -> image
-
 (** Gradient magnitude via the paper's cubic sqrt approximation. *)
 val magnitude : t -> image -> image -> image
 

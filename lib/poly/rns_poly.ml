@@ -406,38 +406,51 @@ let galois t g =
    which domain runs a job, is the format. *)
 let word st = Int64.to_int (Random.State.bits64 st)
 
+(* Fill [row] with uniform residues mod [p]: two candidates per word,
+   each 30-bit half (p < 2^30) masked to the bit length of p - 1; one at
+   or above p is rejected, so every kept residue is exactly uniform in
+   [0, p). *)
+let uniform_row st p row =
+  let mask = ref 1 in
+  while !mask < p - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  let mask = !mask in
+  let n = Rowvec.length row in
+  let j = ref 0 in
+  while !j < n do
+    let w = word st in
+    let c = w land mask in
+    if c < p then begin
+      Rowvec.unsafe_set row !j c;
+      incr j
+    end;
+    let c = (w lsr 30) land mask in
+    if c < p && !j < n then begin
+      Rowvec.unsafe_set row !j c;
+      incr j
+    end
+  done
+
 let sample_uniform st ~tables =
-  let n = Ntt.size tables.(0) in
   let rows = alloc_rows ~tables in
-  Array.iteri
-    (fun i tb ->
-      let p = Ntt.modulus tb in
-      (* Two candidates per word, each 30-bit half (p < 2^30) masked to
-         the bit length of p - 1; one at or above p is rejected, so every
-         kept residue is exactly uniform in [0, p). *)
-      let mask = ref 1 in
-      while !mask < p - 1 do
-        mask := (!mask lsl 1) lor 1
-      done;
-      let mask = !mask in
-      let row = rows.(i) in
-      let j = ref 0 in
-      while !j < n do
-        let w = word st in
-        let c = w land mask in
-        if c < p then begin
-          Rowvec.unsafe_set row !j c;
-          incr j
-        end;
-        let c = (w lsr 30) land mask in
-        if c < p && !j < n then begin
-          Rowvec.unsafe_set row !j c;
-          incr j
-        end
-      done)
-    tables;
+  for i = 0 to Array.length tables - 1 do
+    uniform_row st (Ntt.modulus tables.(i)) rows.(i)
+  done;
   (* Uniform per-prime residues are exactly uniform mod the product (CRT). *)
   { tables; rows; ntt = true }
+
+let sample_uniform_cut st ~tables ~drop:(lo, count) =
+  let kept = Array.append (Array.sub tables 0 lo) (Array.sub tables (lo + count) (Array.length tables - lo - count)) in
+  let rows = alloc_rows ~tables:kept in
+  (* A dropped row is drawn in its place, into one scratch row, and
+     discarded: the stream advances exactly as for the full sample. *)
+  let scratch = Rowvec.create (if count = 0 then 0 else Ntt.size tables.(0)) in
+  for i = 0 to Array.length tables - 1 do
+    let row = if i < lo then rows.(i) else if i < lo + count then scratch else rows.(i - count) in
+    uniform_row st (Ntt.modulus tables.(i)) row
+  done;
+  { tables = kept; rows; ntt = true }
 
 let of_small_coeffs ~tables small =
   let n = Array.length small in

@@ -112,6 +112,14 @@ val galois : t -> int -> t
     uniform. *)
 val sample_uniform : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
 
+(** [sample_uniform_cut st ~tables ~drop:(lo, count)] is
+    {!sample_uniform} without rows [lo .. lo + count - 1]. Those rows
+    are drawn in their place in the row order and discarded, so every
+    kept row equals the full sample's row from the same stream state,
+    and the stream is left where the full sample leaves it. The kept
+    rows are one fresh block, not views of a full one. *)
+val sample_uniform_cut : Random.State.t -> tables:Eva_rns.Ntt.table array -> drop:int * int -> t
+
 (** Ternary secret in {-1,0,1}^N, returned in evaluation form: 2-bit
     candidates, 31 per word, with 3 rejected, so the three values are
     equally likely. *)
@@ -129,6 +137,3 @@ val sample_error : Random.State.t -> tables:Eva_rns.Ntt.table array -> t
     primes, it is within [(k-1) * 2^-53] relative error (2^-50 up to 8
     primes). *)
 val to_float_coeffs : t -> float array
-
-(** Structural equality of prime chains. *)
-val same_modulus : t -> t -> bool

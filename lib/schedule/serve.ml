@@ -448,21 +448,21 @@ let start ?(config = default_config) ?(fault_for = fun _ -> None) ~respond compi
   in
   let eff_max_batch = variants.(Array.length variants - 1).lanes in
   (* Fail fast, not per batch: every width the dispatcher may pick must
-     already have its Galois keys in the engine's keyset. *)
+     already have its Galois keys in the engine's keyset, each at least
+     as deep as that width uses it. *)
   Array.iter
     (fun v ->
-      if v.lanes > 1 then
-        match Executor.missing_rotations engine v.vcompiled with
-        | [] -> ()
-        | missing ->
-            invalid_arg
-              (Printf.sprintf
-                 "Serve.start: engine lacks Galois keys for %d-lane batching (slot steps %s); \
-                  prepare the engine with \
-                  ~extra_rotations:(Compile.batch_rotations compiled ~max_lanes:%d)"
-                 v.lanes
-                 (String.concat ", " (List.map string_of_int missing))
-                 eff_max_batch))
+      match Executor.missing_rotations engine v.vcompiled with
+      | [] -> ()
+      | missing ->
+          invalid_arg
+            (Printf.sprintf
+               "Serve.start: engine lacks Galois keys for %d-lane evaluation (slot step at \
+                depth: %s); prepare the engine for this program with \
+                ~extra_rotations:(Compile.batch_rotations compiled ~max_lanes:%d)"
+               v.lanes
+               (String.concat ", " (List.map (fun (step, d) -> Printf.sprintf "%d at %d" step d) missing))
+               eff_max_batch))
     variants;
   let t =
     {

@@ -178,10 +178,6 @@ val shutdown : ?drain_timeout_ms:int -> t -> unit
     the daemon's counters. *)
 val drain : ?timeout_ms:int -> t -> stats
 
-(** A point-in-time snapshot of the counters while the daemon is live
-    (thread-safe; does not drain). *)
-val live_stats : t -> stats
-
 (** Admission-queue depth right now. *)
 val queue_depth : t -> int
 
@@ -190,9 +186,6 @@ val queue_depth : t -> int
     ring, so daemon memory is bounded over an unbounded request
     stream). *)
 val latencies_ms : t -> float array
-
-(** [(p50, p99)] over {!latencies_ms}; [(0, 0)] when idle. *)
-val latency_percentiles : t -> float * float
 
 (** [run_channels compiled engine ic oc] is the daemon's wire face: read
     framed requests ({!Eva_ckks.Wire.read_frame} /

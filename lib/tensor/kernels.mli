@@ -38,13 +38,6 @@ type ctx = {
 val make_ctx :
   ?s_f:int -> ?mask_scale:int -> mode:mode -> weight_scale:int -> cipher_scale:int -> Eva_core.Builder.t -> ctx
 
-(** [rotate_shared ctx x rot] emits each distinct rotation of a source
-    at most once (memoized on (source node id, step)), so fans of
-    rotations out of one value form the shape
-    {!Eva_core.Optimize.rotation_groups} hoists. [rot = 0] is [x];
-    negative steps rotate right. *)
-val rotate_shared : ctx -> Eva_core.Builder.expr -> int -> Eva_core.Builder.expr
-
 type layout = {
   channels : int;
   height : int;  (** logical dimensions *)
@@ -60,9 +53,6 @@ type image = { exprs : Eva_core.Builder.expr array; layout : layout }
 
 (** Slot index of logical element (c, i, j) within its ciphertext. *)
 val slot : layout -> int -> int -> int -> int
-
-(** Ciphertext index of channel [c]. *)
-val ct_of : layout -> int -> int
 
 val num_cts : layout -> int
 

@@ -46,11 +46,18 @@ let wire_seeds =
      relinearization puts on the wire: its poly-count field and third
      component are mutation targets of their own. *)
   let ct3 = Eval.multiply ct ct in
+  (* Keys cut below the chain: their depth fields and shorter digits are
+     mutation targets of their own. *)
+  let g = Ctx.galois_elt_rotate ctx 1 in
+  let _secret, cut =
+    Keys.generate ~depths:{ Keys.relin_depth = 1; galois_depths = [ (g, 1) ] } ctx st ~galois_elts:[ g ]
+  in
   [
     (`Ctx, Wire.to_string Wire.write_context ctx);
     (`Ct, Wire.to_string Wire.write_ciphertext ct);
     (`Ct, Wire.to_string Wire.write_ciphertext ct3);
     (`Keys, Wire.to_string Wire.write_eval_keys ks);
+    (`Keys, Wire.to_string Wire.write_eval_keys cut);
   ]
 
 (* Serving-protocol seeds for the batching surfaces: a request whose

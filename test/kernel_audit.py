@@ -32,7 +32,8 @@ KERNELS = {
         "Rns_poly",
         ["add", "sub", "neg", "mul", "mul_inplace", "add_inplace", "mul_acc", "mul_scalar_int",
          "rescale_many", "galois_rows", "galois", "of_small_coeffs", "of_float_coeffs",
-         "to_float_coeffs", "sample_uniform", "sample_error", "sample_ternary"],
+         "to_float_coeffs", "uniform_row", "sample_uniform", "sample_uniform_cut", "sample_error",
+         "sample_ternary"],
     ),
     "lib/ckks/keys.ml": (
         "eva_ckks",

@@ -475,6 +475,103 @@ let test_keygen_deterministic () =
     if ct <> ct1 then Alcotest.failf "run %d: encryption after keygen differs from run 1" run
   done
 
+let rows_equal what a b =
+  if Eva_rns.Rowvec.to_array a <> Eva_rns.Rowvec.to_array b then Alcotest.failf "%s differs" what
+
+let polys_equal what a b =
+  Array.iteri (fun j row -> rows_equal (Printf.sprintf "%s row %d" what j) row (Rp.rows b).(j)) (Rp.rows a)
+
+let cts_equal what (a : Eval.ciphertext) (b : Eval.ciphertext) =
+  Alcotest.(check int) (what ^ ": level") a.Eval.level b.Eval.level;
+  Array.iteri (fun i p -> polys_equal (Printf.sprintf "%s poly %d" what i) p b.Eval.polys.(i)) a.Eval.polys
+
+(* A key cut to depth d keeps the full key's first d digits, and of
+   each the first d elements' rows then the special rows, bit for bit;
+   keygen leaves the RNG where full keygen leaves it. At any level
+   L <= d every key-switch path gives the full key's residues. *)
+let prop_cut_keys_switch_like_full =
+  QCheck2.Test.make ~name:"keys cut to depth d switch like full keys at L <= d" ~count:6
+    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 4) (int_range 1 4))
+    (fun (seed, a, b) ->
+      let d = max a b and level = min a b in
+      let c = ctx () in
+      let nd = Ctx.num_data_primes c and k = Ctx.prime_count_for_level c d in
+      let steps = [ 1; 5; Ctx.slots c - 3 ] in
+      let elts = List.map (Ctx.galois_elt_rotate c) steps in
+      let keygen depths =
+        let rng = Random.State.make [| seed |] in
+        let keys = Keys.generate ?depths c rng ~galois_elts:elts in
+        (keys, Random.State.bits rng)
+      in
+      let (secret, full), after_full = keygen None in
+      let (_, cut), after_cut =
+        keygen (Some { Keys.relin_depth = d; galois_depths = List.map (fun g -> (g, d)) elts })
+      in
+      Alcotest.(check int) "RNG state after keygen" after_full after_cut;
+      let same_rows what fk ck =
+        Alcotest.(check int) (what ^ ": depth") d (Keys.switch_key_depth ck);
+        let fb, fa = Keys.switch_key_rows fk and cb, ca = Keys.switch_key_rows ck in
+        Array.iteri
+          (fun e digit ->
+            Alcotest.(check int) (what ^ ": rows") (k + Ctx.num_special_primes c) (Array.length digit);
+            Array.iteri
+              (fun j row ->
+                let src = if j < k then j else nd + (j - k) in
+                rows_equal (Printf.sprintf "%s digit %d row %d (b)" what e j) fb.(e).(src) row;
+                rows_equal (Printf.sprintf "%s digit %d row %d (a)" what e j) fa.(e).(src) ca.(e).(j))
+              digit)
+          cb
+      in
+      same_rows "relin" full.Keys.relin cut.Keys.relin;
+      List.iter
+        (fun g -> same_rows "galois" (Option.get (Keys.find_galois full g)) (Option.get (Keys.find_galois cut g)))
+        elts;
+      let st = Random.State.make [| seed; 1 |] in
+      let poly = Rp.sample_uniform st ~tables:(Ctx.tables_for_level c level) in
+      let pair what (x0, x1) (y0, y1) =
+        polys_equal (what ^ " d0") x0 y0;
+        polys_equal (what ^ " d1") x1 y1
+      in
+      pair "switch" (Keys.switch c full.Keys.relin ~level poly) (Keys.switch c cut.Keys.relin ~level poly);
+      let g = List.hd elts in
+      let dec = Keys.decompose c ~level poly in
+      pair "apply_decomposed ~galois"
+        (Keys.apply_decomposed ~galois:g c (Option.get (Keys.find_galois full g)) dec)
+        (Keys.apply_decomposed ~galois:g c (Option.get (Keys.find_galois cut g)) dec);
+      let v = Array.init (Ctx.slots c) (fun i -> Float.cos (float_of_int i) /. 2.0) in
+      let ct = Eval.encrypt c full st (Eval.encode c ~level ~scale:(Float.ldexp 1.0 30) v) in
+      List.iter2 (cts_equal "rotate_hoisted") (Eval.rotate_hoisted c full ct steps) (Eval.rotate_hoisted c cut ct steps);
+      let sq = Eval.multiply ct ct in
+      let relin = Eval.relinearize c cut sq in
+      cts_equal "relinearize" (Eval.relinearize c full sq) relin;
+      ignore (Eval.decrypt c secret relin);
+      true)
+
+(* A switch above a key's depth is EVA-E607 on every path, raised before
+   the key's rows are read: a depth-0 relin key has no digits at all. *)
+let test_switch_above_key_depth () =
+  let c = ctx () in
+  let st = rng () in
+  let g = Ctx.galois_elt_rotate c 1 in
+  let _, ks = Keys.generate ~depths:{ Keys.relin_depth = 0; galois_depths = [ (g, 2) ] } c st ~galois_elts:[ g ] in
+  let key = Option.get (Keys.find_galois ks g) in
+  let v = Array.make (Ctx.slots c) 0.25 in
+  let ct = Eval.encrypt c ks st (Eval.encode c ~level:3 ~scale:(Float.ldexp 1.0 30) v) in
+  let e607 what f =
+    match f () with
+    | _ -> Alcotest.failf "%s above the key's depth was accepted" what
+    | exception Eva_diag.Diag.Error d ->
+        Alcotest.(check int) what Eva_diag.Diag.crypto_key_depth d.Eva_diag.Diag.code;
+        Alcotest.(check bool) (what ^ ": crypto layer") true (d.Eva_diag.Diag.layer = Eva_diag.Diag.Crypto)
+  in
+  e607 "relinearize" (fun () -> Eval.relinearize c ks (Eval.multiply ct ct));
+  e607 "rotate" (fun () -> Eval.rotate c ks ct 1);
+  e607 "rotate_hoisted" (fun () -> Eval.rotate_hoisted c ks ct [ 1 ]);
+  e607 "apply_decomposed" (fun () -> Keys.apply_decomposed ~galois:g c key (Keys.decompose c ~level:3 ct.Eval.polys.(1)));
+  (* At the key's depth the same rotation runs. *)
+  let low = Eval.mod_switch c ct in
+  Alcotest.(check int) "rotates at its depth" 2 (Eval.rotate c ks low 1).Eval.level
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ckks"
@@ -518,6 +615,11 @@ let () =
         ] );
       ("failure injection", [ Alcotest.test_case "constraint violations" `Quick test_constraint_violations ]);
       ("kernels", [ Alcotest.test_case "words/op within allocation budgets" `Quick test_allocation_budgets ]);
-      ("keys", [ Alcotest.test_case "keygen is a function of the seed" `Quick test_keygen_deterministic ]);
+      ( "keys",
+        [
+          Alcotest.test_case "keygen is a function of the seed" `Quick test_keygen_deterministic;
+          Alcotest.test_case "switch above key depth is E607" `Quick test_switch_above_key_depth;
+          qt prop_cut_keys_switch_like_full;
+        ] );
       ("property", [ qt prop_homomorphic_add ]);
     ]

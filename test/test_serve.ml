@@ -697,6 +697,39 @@ let test_chaos_soak () =
   done;
   Alcotest.(check int) "every hostile session survived" n_sessions !survived
 
+(* Keygen cuts each Galois key to the deepest level its program rotates
+   at. A program that rotates by 1 only after cubing (and so after a
+   rescale) gets that key one element shorter than a program that
+   rotates by 1 at the top needs: missing_rotations reports the step
+   with the depth it needs, and a daemon refuses to start on it instead
+   of failing its first request with EVA-E607. *)
+let test_start_checks_key_depth () =
+  let program ~rotate_first =
+    let b = B.create ~vec_size:16 () in
+    let x = B.input b ~scale:30 "x" in
+    let cube x' = B.mul (B.mul x' x) x in
+    let y = if rotate_first then cube (B.rotate_left x 1) else B.rotate_left (cube x) 1 in
+    B.output b "out" ~scale:30 y;
+    Compile.run (B.program b)
+  in
+  let shallow = program ~rotate_first:false and deep = program ~rotate_first:true in
+  let top = List.length deep.Compile.params.Eva_core.Params.context_data_bits in
+  Alcotest.(check (list (pair int int))) "deep program rotates at the top" [ (1, top) ] (Compile.slot_rotation_depths deep);
+  Alcotest.(check (list (pair int int))) "shallow program rotates below it" [ (1, top - 1) ]
+    (Compile.slot_rotation_depths shallow);
+  let engine = fresh_engine shallow in
+  Alcotest.(check (list (pair int int))) "own program covered" [] (Executor.missing_rotations engine shallow);
+  Alcotest.(check (list (pair int int))) "step 1 too shallow" [ (1, top) ] (Executor.missing_rotations engine deep);
+  Alcotest.(check (list (pair int int))) "deeper key serves shallower use" []
+    (Executor.missing_rotations (fresh_engine deep) shallow);
+  match Serve.start ~respond:(fun _ -> ()) deep engine with
+  | _ -> Alcotest.fail "started with a key shallower than the program uses it"
+  | exception Invalid_argument msg ->
+      let want = Printf.sprintf "1 at %d" top in
+      let n = String.length want in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = want || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "message does not name step and depth (%S): %s" want msg
+
 let () =
   Alcotest.run "serve"
     [
@@ -712,6 +745,7 @@ let () =
             (test_out_of_range_value_is_e605 1e300);
           Alcotest.test_case "wrapping encoding refused as E605" `Quick
             (test_out_of_range_value_is_e605 1e12);
+          Alcotest.test_case "start checks Galois key depth" `Quick test_start_checks_key_depth;
         ] );
       ( "degradation",
         [

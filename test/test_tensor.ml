@@ -232,6 +232,27 @@ let test_op_counts () =
   Alcotest.(check bool) "has multiplies" true (List.assoc "multiply" counts > 0);
   Alcotest.(check int) "no fhe ops before compile" 0 (List.assoc "rescale" counts)
 
+(* Keygen cuts each switching key to the deepest level mini-LeNet uses
+   it at. At log N 10 every chain element is two primes: the chain has
+   7 elements (14 primes) and 2 special primes, so a key of depth d
+   holds d digits of 2d + 2 rows. Relin and 8 Galois keys are used at
+   the top, 8 Galois keys at 6 elements, 2 at 5 and 5 at 4: 2,000 row
+   pairs against 24 x 112 = 2,688 at full depth. *)
+let test_mini_lenet_key_rows () =
+  let net = Nets.mini_lenet in
+  let w = N.random_weights net ~seed:1 in
+  let c = Compile.run (N.lower ~mode:`Eva ~scales:(Nets.scales_for net) net w).N.program in
+  let kd = c.Compile.params.Params.key_depths in
+  Alcotest.(check int) "relin depth" 7 kd.Params.relin_depth;
+  let count d = List.length (List.filter (fun (_, d') -> d' = d) kd.Params.rotation_depths) in
+  Alcotest.(check (list int)) "Galois keys at depth 7, 6, 5, 4" [ 8; 8; 2; 5 ] (List.map count [ 7; 6; 5; 4 ]);
+  let e = Executor.keygen ~ignore_security:true ~log_n:10 c in
+  let f = Executor.key_footprint e in
+  let row_pairs words = words / (2 * 1024) in
+  Alcotest.(check int) "switch keys" 24 f.Eva_ckks.Keys.switch_keys;
+  Alcotest.(check int) "row pairs held" 2000 (row_pairs f.Eva_ckks.Keys.held_words);
+  Alcotest.(check int) "row pairs at full depth" 2688 (row_pairs f.Eva_ckks.Keys.full_words)
+
 let prop_conv_linear =
   QCheck2.Test.make ~name:"lowered conv is linear in the input" ~count:20 QCheck2.Gen.(int_range 0 10000)
     (fun seed ->
@@ -275,6 +296,7 @@ let () =
           Alcotest.test_case "encrypted inference" `Slow test_network_encrypted_inference;
           Alcotest.test_case "vec sizes" `Quick test_vec_size;
           Alcotest.test_case "op counts" `Quick test_op_counts;
+          Alcotest.test_case "mini-LeNet keys cut to their depth" `Quick test_mini_lenet_key_rows;
         ] );
       ("property", [ qt prop_conv_linear ]);
     ]

@@ -117,6 +117,33 @@ let test_eval_keys_round_trip_enable_rotation () =
   let back = Eval.decrypt c secret rot in
   Alcotest.(check (float 1e-2)) "rotated" 4.0 back.(0)
 
+(* Cut keys cross the wire as their depth and only the rows they hold:
+   the text is the same bytes after a round trip, every key comes back
+   at its depth, and the read keys rotate and relinearize. *)
+let test_cut_eval_keys_round_trip () =
+  let c = ctx () in
+  let st = Random.State.make [| 12 |] in
+  let g1 = Ctx.galois_elt_rotate c 1 and g4 = Ctx.galois_elt_rotate c 4 in
+  let secret, ks =
+    Keys.generate ~depths:{ Keys.relin_depth = 2; galois_depths = [ (g1, 1); (g4, 3) ] } c st
+      ~galois_elts:[ g1; g4 ]
+  in
+  let s = Wire.to_string Wire.write_eval_keys ks in
+  let ks' = Wire.read_eval_keys c s ~pos:(ref 0) in
+  Alcotest.(check string) "re-written text identical" s (Wire.to_string Wire.write_eval_keys ks');
+  let depth k = Keys.switch_key_depth k in
+  Alcotest.(check (list int)) "depths" [ 2; 1; 3 ]
+    [ depth ks'.Keys.relin; depth (Option.get (Keys.find_galois ks' g1)); depth (Option.get (Keys.find_galois ks' g4)) ];
+  let full_words = (Keys.footprint c ks').Keys.full_words in
+  Alcotest.(check bool) "cut keys hold less" true ((Keys.footprint c ks').Keys.held_words < full_words);
+  let v = Array.init (Ctx.slots c) (fun i -> float_of_int (i mod 7) /. 8.0) in
+  let ct = Eval.encrypt c ks' st (Eval.encode c ~level:3 ~scale:(Float.ldexp 1.0 40) v) in
+  let back = Eval.decrypt c secret (Eval.rotate c ks' ct 4) in
+  Alcotest.(check (float 1e-3)) "rotated at depth 3" v.(4) back.(0);
+  let low = Eval.mod_switch c ct in
+  let sq = Eval.relinearize c ks' (Eval.multiply low low) in
+  Alcotest.(check (float 1e-3)) "relinearized at depth 2" (v.(3) *. v.(3)) (Eval.decrypt c secret sq).(3)
+
 let test_missing_key_raises () =
   let c = ctx () in
   let st = Random.State.make [| 9 |] in
@@ -153,6 +180,7 @@ let () =
           Alcotest.test_case "lower-level ciphertext" `Quick test_ciphertext_at_lower_level;
           Alcotest.test_case "size-3 ciphertext" `Quick test_size3_ciphertext_round_trip;
           Alcotest.test_case "eval keys" `Quick test_eval_keys_round_trip_enable_rotation;
+          Alcotest.test_case "cut eval keys" `Quick test_cut_eval_keys_round_trip;
         ] );
       ( "trust boundary",
         [
