@@ -15,7 +15,6 @@ type t = {
   special_tables : Ntt.table array;
   embedding : Embedding.t;
   element_values : float array;
-  data_bit_list : int list;
 }
 
 let element_prime_count bits = if bits <= 30 then 1 else 2
@@ -92,14 +91,12 @@ let make ?(ignore_security = false) ~n ~data_bits ~special_bits () =
     special_tables = mk_tables special_primes;
     embedding = Embedding.make ~slots:(n / 2);
     element_values;
-    data_bit_list = data_bits;
   }
 
 let degree t = t.n
 let slots t = t.slots
 let chain_length t = Array.length t.elements
 let element_value t i = t.element_values.(i)
-let data_bits t = t.data_bit_list
 
 let total_log_q t =
   let log_p =
@@ -132,8 +129,8 @@ let galois_elt_rotate t steps =
   done;
   !g
 
-let galois_elt_conjugate t = (2 * t.n) - 1
-
+(* CKKS slots hold complex values; the language is real-valued, so
+   [encode]/[decode] are the only callers and pass zero imaginary parts. *)
 let encode_complex t ~level ~scale values =
   let len = Array.length values in
   if len = 0 || t.slots mod len <> 0 then

@@ -28,8 +28,6 @@ val chain_length : t -> int
 (** Exact value of data element [i] (product of its machine primes). *)
 val element_value : t -> int -> float
 
-val data_bits : t -> int list
-
 (** Total log2 of the full modulus (data + special), as validated against
     the security table. *)
 val total_log_q : t -> float
@@ -67,19 +65,11 @@ val embedding : t -> Embedding.t
     [steps] (negative = right). *)
 val galois_elt_rotate : t -> int -> int
 
-(** Galois element for complex conjugation of the slots. *)
-val galois_elt_conjugate : t -> int
-
 (** [encode t ~level ~scale values] tiles [values] (length dividing the
-    slot count) across all slots and encodes at exact scale [scale] into a
+    slot count) across all slots as real slot values (imaginary parts
+    zero) and encodes at exact scale [scale] into a
     polynomial over the first [level] elements, in NTT form. *)
 val encode : t -> level:int -> scale:float -> float array -> Eva_poly.Rns_poly.t
 
 (** [decode t ~scale poly] inverts {!encode} (any form; poly is copied). *)
 val decode : t -> scale:float -> Eva_poly.Rns_poly.t -> float array
-
-(** Complex-slot variants: CKKS slots natively hold complex values; the
-    float API above is the common real-valued specialization. *)
-val encode_complex : t -> level:int -> scale:float -> Complex.t array -> Eva_poly.Rns_poly.t
-
-val decode_complex : t -> scale:float -> Eva_poly.Rns_poly.t -> Complex.t array

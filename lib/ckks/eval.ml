@@ -67,10 +67,6 @@ let decrypt_poly ctx secret ct =
   acc
 
 let decrypt ctx ks ct = Context.decode ctx ~scale:ct.scale (decrypt_poly ctx ks ct)
-let decrypt_complex ctx ks ct = Context.decode_complex ctx ~scale:ct.scale (decrypt_poly ctx ks ct)
-
-let encode_complex ctx ~level ~scale values =
-  { poly = Context.encode_complex ctx ~level ~scale values; pt_level = level; pt_scale = scale }
 
 let negate ct = { ct with polys = Array.map Rns_poly.neg ct.polys }
 
@@ -210,5 +206,3 @@ let rotate_hoisted ctx ks ct steps =
             { ct with polys = [| c0g; d1 |] })
       keys
   end
-
-let conjugate ctx ks ct = apply_galois ctx ks ct (Context.galois_elt_conjugate ctx)

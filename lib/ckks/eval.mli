@@ -11,7 +11,7 @@ exception Scale_mismatch of string
 exception Size_error of string
 
 exception Missing_galois_key of int
-(** Rotation/conjugation requires the matching pregenerated Galois key,
+(** Rotation requires the matching pregenerated Galois key,
     as in SEAL; keys are never created implicitly (the evaluator may not
     own the secret). *)
 
@@ -69,12 +69,3 @@ val rotate : Context.t -> Keys.keyset -> ciphertext -> int -> ciphertext
     shallower than [ct]'s level. *)
 val rotate_hoisted : Context.t -> Keys.keyset -> ciphertext -> int list -> ciphertext list
 
-(** Complex-conjugate every slot (the Galois element X -> X^(2N-1));
-    raises {!Missing_galois_key} when the conjugation key is absent. *)
-val conjugate : Context.t -> Keys.keyset -> ciphertext -> ciphertext
-
-(** Complex-slot encode/decrypt (the paper's language is real-valued;
-    the scheme itself is not). *)
-val encode_complex : Context.t -> level:int -> scale:float -> Complex.t array -> plaintext
-
-val decrypt_complex : Context.t -> Keys.secret -> ciphertext -> Complex.t array

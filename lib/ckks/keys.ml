@@ -158,9 +158,6 @@ let find_galois ks g = Hashtbl.find_opt ks.galois g
 
 let switch_key_depth k = k.depth
 let switch_key_rows k = (k.kb, k.ka)
-let switch_key_of_rows ~kb ~ka = { depth = Array.length kb; kb; ka }
-
-let public_of_parts ~b ~a = { pk_b = b; pk_a = a }
 
 type footprint = { switch_keys : int; held_words : int; full_words : int }
 

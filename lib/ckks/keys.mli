@@ -19,8 +19,8 @@
 
     The secret key is deliberately a separate value from the evaluation
     {!keyset} (public, relinearization and Galois keys): the keyset is
-    what a client ships to an evaluating server, the secret never leaves
-    the client (see {!Wire}). *)
+    what a client hands an evaluating server, the secret never leaves
+    the client. *)
 
 type secret
 type public_key
@@ -124,7 +124,7 @@ type footprint = { switch_keys : int; held_words : int; full_words : int }
 
 val footprint : Context.t -> keyset -> footprint
 
-(** {2 Raw access for the wire format} *)
+(** {2 Raw access} *)
 
 (** Chain elements the key serves: its digit count. *)
 val switch_key_depth : switch_key -> int
@@ -134,10 +134,3 @@ val switch_key_depth : switch_key -> int
     copied. *)
 val switch_key_rows :
   switch_key -> Eva_rns.Rowvec.t array array * Eva_rns.Rowvec.t array array
-
-(** The inverse of {!switch_key_rows}; the depth is the digit count. The
-    caller checks the row counts against the context ({!Wire} does). *)
-val switch_key_of_rows :
-  kb:Eva_rns.Rowvec.t array array -> ka:Eva_rns.Rowvec.t array array -> switch_key
-
-val public_of_parts : b:Eva_poly.Rns_poly.t -> a:Eva_poly.Rns_poly.t -> public_key

@@ -1,6 +1,3 @@
-module Rns_poly = Eva_poly.Rns_poly
-module Ntt = Eva_rns.Ntt
-module Rowvec = Eva_rns.Rowvec
 module Diag = Eva_diag.Diag
 
 (* ------------------------------------------------------------------ *)
@@ -42,12 +39,6 @@ let read_token_at s ~pos =
   pos := !i;
   (String.sub s start (!i - start), start)
 
-let read_int s ~pos =
-  let t, at = read_token_at s ~pos in
-  match int_of_string_opt t with
-  | Some v -> v
-  | None -> wire_error s ~at ~code:Diag.wire_token "expected integer, got %S" t
-
 (* Every count, length and range field read from untrusted input goes
    through this bounded reader BEFORE it is used as an allocation size
    or an index, so a spliced "999999999999" length field is a structured
@@ -71,173 +62,6 @@ let expect s ~pos tag =
   let t, at = read_token_at s ~pos in
   if t <> tag then wire_error s ~at ~code:Diag.wire_token "expected %S, got %S" tag t
 
-let write_row buf row =
-  let len = Rowvec.length row in
-  Printf.bprintf buf "%d\n" len;
-  for i = 0 to len - 1 do
-    Buffer.add_string buf (string_of_int (Rowvec.unsafe_get row i));
-    Buffer.add_char buf (if (i + 1) mod 32 = 0 then '\n' else ' ')
-  done;
-  Buffer.add_char buf '\n'
-
-(* A residue row: its declared length must match the ring degree and
-   every residue must lie under the row's modulus, checked as the values
-   stream in (a corrupted residue is caught at its own offset). Parsed
-   residues land directly in the caller's flat row view [into] — no
-   per-row intermediate array. *)
-let read_row_into s ~pos ~modulus ~into =
-  let len = Rowvec.length into in
-  let at0 = !pos in
-  let declared = read_int s ~pos in
-  if declared <> len then
-    wire_error s ~at:at0 ~code:Diag.wire_length "row of %d residues where the ring degree is %d"
-      declared len;
-  for i = 0 to len - 1 do
-    let t, at = read_token_at s ~pos in
-    match int_of_string_opt t with
-    | None -> wire_error s ~at ~code:Diag.wire_token "expected residue, got %S" t
-    | Some v ->
-        if v < 0 || v >= modulus then
-          wire_error s ~at ~code:Diag.wire_length "residue %d outside [0, %d)" v modulus;
-        Rowvec.unsafe_set into i v
-  done
-
-let write_rows buf rows =
-  Printf.bprintf buf "%d\n" (Array.length rows);
-  Array.iter (write_row buf) rows
-
-(* Rows of a polynomial: the declared row count must equal the number of
-   primes the context prescribes — validated before any allocation. The
-   destination is one contiguous flat buffer (the count is bounded by
-   the context, so sizing it up front is safe) whose row views fill as
-   the residues stream in. *)
-let read_rows s ~pos ~tables =
-  let at0 = !pos in
-  let declared = read_int s ~pos in
-  let expected = Array.length tables in
-  if declared <> expected then
-    wire_error s ~at:at0 ~code:Diag.wire_mismatch "%d rows where the context has %d primes"
-      declared expected;
-  let rows = Rowvec.alloc_rows ~count:expected ~n:(Ntt.size tables.(0)) in
-  Array.iteri
-    (fun i row -> read_row_into s ~pos ~modulus:(Ntt.modulus tables.(i)) ~into:row)
-    rows;
-  rows
-
-(* ------------------------------------------------------------------ *)
-(* Context                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let write_context buf ctx =
-  Printf.bprintf buf "context %d\n" (Context.degree ctx);
-  let bits = Context.data_bits ctx in
-  Printf.bprintf buf "%d %s\n" (List.length bits) (String.concat " " (List.map string_of_int bits));
-  (* The special chain is regenerated from its bit count (one element of
-     s_f = 60 in this library). *)
-  Printf.bprintf buf "%d\n" 60
-
-let default_max_degree = 1 lsl 17
-
-let read_context ?(ignore_security = false) ?(max_degree = default_max_degree) s ~pos =
-  expect s ~pos "context";
-  let at_n = !pos in
-  let n = read_int_in s ~pos ~what:"ring degree" ~lo:2 ~hi:max_degree in
-  if n land (n - 1) <> 0 then
-    wire_error s ~at:at_n ~code:Diag.wire_length "ring degree %d is not a power of two" n;
-  let k = read_int_in s ~pos ~what:"modulus chain length" ~lo:1 ~hi:64 in
-  let data_bits = List.init k (fun _ -> read_int_in s ~pos ~what:"element bits" ~lo:1 ~hi:60) in
-  let special = read_int_in s ~pos ~what:"special element bits" ~lo:1 ~hi:60 in
-  Context.make ~ignore_security ~n ~data_bits ~special_bits:[ special ] ()
-
-(* ------------------------------------------------------------------ *)
-(* Ciphertexts                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let write_ciphertext buf ct =
-  Printf.bprintf buf "ciphertext %d %h\n" ct.Eval.level ct.Eval.scale;
-  Printf.bprintf buf "%d\n" (Array.length ct.Eval.polys);
-  Array.iter
-    (fun p ->
-      let p = Rns_poly.copy p in
-      Rns_poly.to_ntt p;
-      write_rows buf (Rns_poly.rows p))
-    ct.Eval.polys
-
-(* A well-formed evaluation never produces more than three polynomials
-   (size-2 inputs, size-3 between multiply and relinearize); 8 leaves
-   slack for exotic pipelines while still bounding the allocation. *)
-let max_ciphertext_polys = 8
-
-let read_ciphertext ctx s ~pos =
-  expect s ~pos "ciphertext";
-  let level = read_int_in s ~pos ~what:"ciphertext level" ~lo:1 ~hi:(Context.chain_length ctx) in
-  let at_scale = !pos in
-  let scale = read_float s ~pos in
-  if not (Float.is_finite scale && scale > 0.0) then
-    wire_error s ~at:at_scale ~code:Diag.wire_length "ciphertext scale %h is not finite and positive"
-      scale;
-  let count = read_int_in s ~pos ~what:"polynomial count" ~lo:1 ~hi:max_ciphertext_polys in
-  let tables = Context.tables_for_level ctx level in
-  let polys = Array.init count (fun _ -> Rns_poly.of_ntt_rows ~tables (read_rows s ~pos ~tables)) in
-  { Eval.polys; level; scale }
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation keys                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A switching key is its depth d, then d (b) digits and d (a) digits,
-   each over the first d elements' primes and the special primes. *)
-let write_switch_key buf k =
-  let kb, ka = Keys.switch_key_rows k in
-  Printf.bprintf buf "%d\n" (Keys.switch_key_depth k);
-  Array.iter (write_rows buf) kb;
-  Array.iter (write_rows buf) ka
-
-let read_switch_key ctx s ~pos =
-  let depth = read_int_in s ~pos ~what:"switch key depth" ~lo:0 ~hi:(Context.chain_length ctx) in
-  let digit _ = read_rows s ~pos ~tables:(Context.ks_tables ctx depth) in
-  let kb = Array.init depth digit in
-  let ka = Array.init depth digit in
-  Keys.switch_key_of_rows ~kb ~ka
-
-let write_eval_keys buf ks =
-  Buffer.add_string buf "evalkeys\n";
-  let b, a = Keys.public_parts ks.Keys.public in
-  write_rows buf (Rns_poly.rows b);
-  write_rows buf (Rns_poly.rows a);
-  write_switch_key buf ks.Keys.relin;
-  let galois = Hashtbl.fold (fun g k acc -> (g, k) :: acc) ks.Keys.galois [] in
-  Printf.bprintf buf "%d\n" (List.length galois);
-  List.iter
-    (fun (g, k) ->
-      Printf.bprintf buf "%d\n" g;
-      write_switch_key buf k)
-    (List.sort compare galois)
-
-(* A server holds one Galois key per distinct rotation; thousands would
-   already be extravagant, so the count is clamped before the table is
-   sized. *)
-let max_galois_keys = 4096
-
-let read_eval_keys ctx s ~pos =
-  expect s ~pos "evalkeys";
-  let data_tables = Context.tables_for_level ctx (Context.chain_length ctx) in
-  let b = Rns_poly.of_ntt_rows ~tables:data_tables (read_rows s ~pos ~tables:data_tables) in
-  let a = Rns_poly.of_ntt_rows ~tables:data_tables (read_rows s ~pos ~tables:data_tables) in
-  let relin = read_switch_key ctx s ~pos in
-  let n_galois = read_int_in s ~pos ~what:"Galois key count" ~lo:0 ~hi:max_galois_keys in
-  let galois = Hashtbl.create (max 1 n_galois) in
-  let two_n = 2 * Context.degree ctx in
-  for _ = 1 to n_galois do
-    let at_g = !pos in
-    let g = read_int_in s ~pos ~what:"Galois element" ~lo:1 ~hi:(two_n - 1) in
-    if g land 1 = 0 then
-      wire_error s ~at:at_g ~code:Diag.wire_mismatch
-        "Galois element %d is even (units mod 2N are odd)" g;
-    Hashtbl.replace galois g (read_switch_key ctx s ~pos)
-  done;
-  { Keys.public = Keys.public_of_parts ~b ~a; relin; galois }
-
 let to_string write v =
   let buf = Buffer.create 4096 in
   write buf v;
@@ -250,7 +74,7 @@ let to_string write v =
 (* A serve request binds named input vectors for one evaluation of the
    daemon's compiled program. Values travel as %h hex floats, so the
    round trip is bit-exact; every count and length is range-checked
-   before allocation, like every other reader in this module. *)
+   before allocation. *)
 
 type request = { req_id : int; deadline_ms : int option; req_inputs : (string * float array) list }
 

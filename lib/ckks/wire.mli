@@ -1,49 +1,14 @@
-(** Wire format for scheme objects: contexts, ciphertexts and evaluation
-    keys as portable text.
-
-    This is what an actual FHE deployment exchanges: the client sends the
-    context parameters, the evaluation keys (relinearization and Galois —
-    {e never} the secret key) and its ciphertexts; the server evaluates
-    and returns result ciphertexts. Prime generation is deterministic
-    given the parameters, so both sides reconstruct identical NTT tables
-    from the compact description.
-
-    The format is whitespace-separated decimal text — simple, portable,
-    diffable; ciphertexts at demo sizes are a few hundred kilobytes.
+(** Wire format of the serving protocol: requests, responses, the live
+    stats probe and the frames that carry them over a byte stream, as
+    whitespace-separated text ([evac serve] and its clients speak it).
 
     The readers treat their input as hostile: every count, length and
-    range field is validated against the context {e before} it is used
-    as an allocation size, every residue is checked against its row's
-    modulus as it streams in, and each rejection raises
-    [Eva_diag.Diag.Error] (layer [Wire], codes EVA-E401..E404) carrying
-    the line and column of the offending token. *)
+    range field is validated {e before} it is used as an allocation
+    size, and each rejection raises [Eva_diag.Diag.Error] (layer [Wire],
+    codes EVA-E401..E403) carrying the line and column of the offending
+    token. *)
 
-(** Context parameters sufficient to rebuild an identical context. *)
-val write_context : Buffer.t -> Context.t -> unit
-
-(** [max_degree] (default [2^17]) bounds the ring degree accepted from
-    the wire, so a corrupted header cannot request a multi-gigabyte
-    table build. *)
-val read_context : ?ignore_security:bool -> ?max_degree:int -> string -> pos:int ref -> Context.t
-
-val write_ciphertext : Buffer.t -> Eval.ciphertext -> unit
-
-(** Reading validates level, scale, polynomial count, row counts, row
-    lengths and residue ranges against the context. *)
-val read_ciphertext : Context.t -> string -> pos:int ref -> Eval.ciphertext
-
-(** Evaluation keys only: relinearization and Galois keys. The secret key
-    never leaves the client. Each switching key is written as its depth
-    and only the digits and rows it holds ({!Keys.switch_key_rows}). *)
-val write_eval_keys : Buffer.t -> Keys.keyset -> unit
-
-(** Rebuild a keyset usable for evaluation (but not decryption — the
-    secret key has its own side of the wire and stays with the client).
-    Each switching key's depth is range-checked against the chain
-    (EVA-E403) before its rows are allocated. *)
-val read_eval_keys : Context.t -> string -> pos:int ref -> Keys.keyset
-
-(** Round-trip helpers used by tests. *)
+(** [to_string write v] runs [write] into a fresh buffer. *)
 val to_string : (Buffer.t -> 'a -> unit) -> 'a -> string
 
 (** {2 Serving protocol}

@@ -38,9 +38,13 @@ let batch_widths c ~max_batch ~slots =
   let rec go l = if l > max_batch || l * vs > slots then [] else l :: go (2 * l) in
   go 1
 
+(* [Passes.batch ~lanes] turns a rotation by k into one by k * lanes and
+   leaves levels alone, so a batched variant's steps are [c]'s scaled:
+   no variant needs compiling to read them. *)
 let batch_rotations c ~max_lanes =
+  let steps = slot_rotations c in
   let rec go acc lanes =
-    if lanes > max_lanes then acc else go (slot_rotations (batch c ~lanes) @ acc) (lanes * 2)
+    if lanes > max_lanes then acc else go (List.map (( * ) lanes) steps @ acc) (lanes * 2)
   in
   List.sort_uniq compare (go [] 2)
 

@@ -51,7 +51,9 @@ val batch_widths : compiled -> max_batch:int -> slots:int -> int list
     over the batched variants of [c] at every power-of-two width in
     [2 .. max_lanes] — the extra Galois steps one keyset needs to serve
     every batch width (pass to {!Executor.prepare}'s
-    [?extra_rotations]). *)
+    [?extra_rotations]). Batching at [lanes] scales every rotation step
+    by [lanes], so this is {!slot_rotations} [c] scaled by each width;
+    no variant is compiled. *)
 val batch_rotations : compiled -> max_lanes:int -> int list
 
 (** Raises [Eva_diag.Diag.Error] in the Validate layer (compiler bug or

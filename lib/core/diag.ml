@@ -29,7 +29,6 @@ let compile_selection = 302
 let wire_truncated = 401
 let wire_token = 402
 let wire_length = 403
-let wire_mismatch = 404
 let exec_missing_inputs = 501
 let exec_bad_operands = 502
 let exec_rescale_mismatch = 503

@@ -19,7 +19,7 @@ type layer =
   | Parse  (** [.eva] text format *)
   | Validate  (** static program constraints (Section 6.2) *)
   | Compile  (** transformation passes and parameter selection *)
-  | Wire  (** serialized contexts / ciphertexts / evaluation keys *)
+  | Wire  (** serving-protocol frames: requests, responses, stats *)
   | Execute  (** graph execution, scheduling, fault handling *)
   | Crypto  (** the RNS-CKKS scheme layer itself *)
 
@@ -80,7 +80,9 @@ val wire_token : int  (** 402: token is not what the format expects *)
 
 val wire_length : int  (** 403: length/range field fails validation *)
 
-val wire_mismatch : int  (** 404: object inconsistent with the context *)
+(* 404 is retired (it flagged a scheme object inconsistent with its
+   context, and no format carries scheme objects any more); it is not
+   reused. *)
 
 (* Execute (5xx) *)
 val exec_missing_inputs : int  (** 501: unbound input name(s) *)

@@ -1,9 +1,10 @@
-(* Seeded mutational fuzzer for the two untrusted input surfaces: .eva
-   program text and the wire format (contexts, ciphertexts, evaluation
-   keys). Valid seed documents are mutated (truncation, byte flips,
-   token splices, slice deletion/duplication, huge digit runs) and fed
-   to the readers; every input must either be accepted or raise a
-   classified Eva_diag error. Out_of_memory, Stack_overflow, bare
+(* Seeded mutational fuzzer for the untrusted input surfaces: .eva
+   program text and the serving protocol (requests, responses, daemon
+   stats, and the frames a daemon reads off a client's byte stream).
+   Valid seed documents are mutated (truncation, byte flips, token
+   splices, slice deletion/duplication, huge digit runs) and fed to the
+   readers; every input must either be accepted or raise a classified
+   Eva_diag error. Out_of_memory, Stack_overflow, bare
    Failure/Invalid_argument or a hang are crashes.
 
      fuzz_inputs [--smoke] [--n COUNT] [--seed SEED]
@@ -12,9 +13,6 @@
    30 seconds. *)
 
 module Serialize = Eva_core.Serialize
-module Ctx = Eva_ckks.Context
-module Keys = Eva_ckks.Keys
-module Eval = Eva_ckks.Eval
 module Wire = Eva_ckks.Wire
 module Diag = Eva_diag.Diag
 
@@ -33,36 +31,14 @@ let eva_seeds =
     "program \"spoly\" vec_size 1 {\n  n0 = input cipher \"x0\" scale 30\n  n1 = input cipher \"x1\" scale 30\n  n2 = input cipher \"x2\" scale 30\n  n3 = input cipher \"x3\" scale 30\n  c = constant scalar 0.5 scale 60\n  q0 = multiply n0 n0\n  q1 = multiply n1 n1\n  q2 = multiply n2 n2\n  q3 = multiply n3 n3\n  p0 = add q0 c\n  p1 = add q1 c\n  p2 = add q2 c\n  p3 = add q3 c\n  output \"y0\" p0 scale 30\n  output \"y1\" p1 scale 30\n  output \"y2\" p2 scale 30\n  output \"y3\" p3 scale 30\n}\n";
   ]
 
-(* A tiny real context so the wire seeds are genuine well-formed
-   documents (mutations then have interesting valid prefixes). *)
-let ctx = Ctx.make ~ignore_security:true ~n:64 ~data_bits:[ 30; 30 ] ~special_bits:[ 30 ] ()
+(* Serving-protocol seeds: a request whose vector lengths do not divide
+   the program width (the zero-padding encode path), an ok and an error
+   response, a daemon-stats payload with a batch histogram, and a framed
+   stream of a request and a stats probe as a client writes it. *)
+let with_temp_file f =
+  let path = Filename.temp_file "fuzz_frame" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let wire_seeds =
-  let st = Random.State.make [| 7 |] in
-  let _secret, ks = Keys.generate ctx st ~galois_elts:[ Ctx.galois_elt_rotate ctx 1 ] in
-  let v = Array.make (Ctx.slots ctx) 0.25 in
-  let ct = Eval.encrypt ctx ks st (Eval.encode ctx ~level:2 ~scale:(Float.ldexp 1.0 30) v) in
-  (* A size-3 ciphertext (unrelinearized product), as lazy
-     relinearization puts on the wire: its poly-count field and third
-     component are mutation targets of their own. *)
-  let ct3 = Eval.multiply ct ct in
-  (* Keys cut below the chain: their depth fields and shorter digits are
-     mutation targets of their own. *)
-  let g = Ctx.galois_elt_rotate ctx 1 in
-  let _secret, cut =
-    Keys.generate ~depths:{ Keys.relin_depth = 1; galois_depths = [ (g, 1) ] } ctx st ~galois_elts:[ g ]
-  in
-  [
-    (`Ctx, Wire.to_string Wire.write_context ctx);
-    (`Ct, Wire.to_string Wire.write_ciphertext ct);
-    (`Ct, Wire.to_string Wire.write_ciphertext ct3);
-    (`Keys, Wire.to_string Wire.write_eval_keys ks);
-    (`Keys, Wire.to_string Wire.write_eval_keys cut);
-  ]
-
-(* Serving-protocol seeds for the batching surfaces: a request whose
-   vector lengths do not divide the program width (the zero-padding
-   encode path) and a daemon-stats frame with a batch histogram. *)
 let serve_seeds =
   let req =
     Wire.to_string
@@ -89,7 +65,25 @@ let serve_seeds =
         st_pt_misses = 9;
       }
   in
-  [ (`Req, req); (`Stats, stats) ]
+  let ok =
+    Wire.to_string Wire.write_response
+      { Wire.resp_id = 3; payload = Ok [ ("y", [| 0.5; -1.25 |]); ("z", [| 3.0 |]) ] }
+  in
+  let err =
+    Wire.to_string Wire.write_response
+      {
+        Wire.resp_id = 4;
+        payload = Error (Diag.make ~layer:Diag.Execute ~code:Diag.exec_timeout "deadline passed in queue");
+      }
+  in
+  let frames =
+    with_temp_file (fun path ->
+        Out_channel.with_open_bin path (fun oc ->
+            Wire.write_frame oc req;
+            Wire.write_frame oc Wire.stats_probe);
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  [ (`Req, req); (`Resp, ok); (`Resp, err); (`Stats, stats); (`Frame, frames) ]
 
 (* ---------------------------------------------------------------- *)
 (* Mutations                                                         *)
@@ -97,7 +91,8 @@ let serve_seeds =
 
 let splice_tokens =
   [|
-    "program"; "context"; "ciphertext"; "evalkeys"; "input"; "output"; "scale"; "vec_size";
+    "program"; "request"; "response"; "ok"; "error"; "stats"; "frame"; "stats?"; "input";
+    "output"; "scale"; "vec_size";
     "{"; "}"; "["; "]"; "="; "\""; "-"; "-1"; "0"; "nan"; "inf"; "1e999";
     "999999999999999999"; "99999999999999999999999999"; "0x1p1024"; "4611686018427387904";
   |]
@@ -195,26 +190,39 @@ let feed kind input =
       let p = Serialize.of_string input in
       Eva_core.Validate.check_input_program p;
       ignore (Eva_core.Passes.vectorize p)
-  | `Ctx -> ignore (Wire.read_context ~ignore_security:true input ~pos)
-  | `Ct -> ignore (Wire.read_ciphertext ctx input ~pos)
-  | `Keys -> ignore (Wire.read_eval_keys ctx input ~pos)
   | `Req -> ignore (Wire.read_request input ~pos)
+  | `Resp -> ignore (Wire.read_response input ~pos)
   | `Stats -> ignore (Wire.read_stats input ~pos)
+  | `Frame ->
+      (* The daemon's read loop: frames until a clean end of stream, each
+         payload either the stats probe or a request. *)
+      with_temp_file (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc input);
+          In_channel.with_open_bin path (fun ic ->
+              let rec loop () =
+                match Wire.read_frame ic with
+                | None -> ()
+                | Some payload ->
+                    if String.trim payload <> Wire.stats_probe then
+                      ignore (Wire.read_request payload ~pos:(ref 0));
+                    loop ()
+              in
+              loop ()))
 
 let kind_name = function
   | `Eva -> "eva"
-  | `Ctx -> "ctx"
-  | `Ct -> "ct"
-  | `Keys -> "keys"
   | `Req -> "request"
+  | `Resp -> "response"
   | `Stats -> "stats"
+  | `Frame -> "frame"
 
 let run ~seed ~count =
   let st = Random.State.make [| seed |] in
   let stats = { accepted = 0; rejected = 0 } in
-  let readers = [| `Eva; `Ctx; `Ct; `Keys; `Req; `Stats |] in
-  let seeds = List.map (fun s -> (`Eva, s)) eva_seeds @ wire_seeds @ serve_seeds in
+  let readers = [| `Eva; `Req; `Resp; `Stats; `Frame |] in
+  let seeds = List.map (fun s -> (`Eva, s)) eva_seeds @ serve_seeds in
   let seeds = Array.of_list seeds in
+  let fed = Hashtbl.create 8 in
   let t0 = Unix.gettimeofday () in
   for i = 1 to count do
     let own_kind, body = seeds.(Random.State.int st (Array.length seeds)) in
@@ -225,6 +233,7 @@ let run ~seed ~count =
       else own_kind
     in
     let input = mutate_n st (1 + Random.State.int st 4) body in
+    Hashtbl.replace fed kind (1 + Option.value (Hashtbl.find_opt fed kind) ~default:0);
     match feed kind input with
     | () -> stats.accepted <- stats.accepted + 1
     | exception e -> (
@@ -240,7 +249,13 @@ let run ~seed ~count =
   Printf.printf "fuzz: %d inputs in %.1fs — %d accepted, %d rejected (structured), 0 crashes\n"
     count
     (Unix.gettimeofday () -. t0)
-    stats.accepted stats.rejected
+    stats.accepted stats.rejected;
+  Printf.printf "fuzz: inputs per reader:%s\n"
+    (String.concat ","
+       (Array.to_list
+          (Array.map
+             (fun k -> Printf.sprintf " %s %d" (kind_name k) (Option.value (Hashtbl.find_opt fed k) ~default:0))
+             readers)))
 
 let () =
   let smoke = ref false in

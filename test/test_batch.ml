@@ -350,6 +350,53 @@ let test_start_fails_fast_without_batch_keys () =
         in
         contains "batch_rotations")
 
+(* [Compile.batch_rotations] scales the base program's steps instead of
+   compiling every batched variant; this is the compiling definition it
+   replaced, kept as the reference. *)
+let batch_rotations_by_compiling c ~max_lanes =
+  let rec go acc lanes =
+    if lanes > max_lanes then acc
+    else go (Compile.slot_rotations (Compile.batch c ~lanes) @ acc) (lanes * 2)
+  in
+  List.sort_uniq compare (go [] 2)
+
+let test_batch_rotations_match_compiling () =
+  let fan () =
+    let b = B.create ~vec_size:vs () in
+    let x = B.input b ~scale:30 "x" in
+    let sum = List.fold_left (fun acc k -> B.add acc (B.rotate_left x k)) x [ 1; 2; 3; 5; 8 ] in
+    B.output b "out" ~scale:30 sum;
+    B.program b
+  in
+  (* Scalar-shaped: eight products and their sum, which the vectorizer
+     packs into one vector and reduces by rotations. *)
+  let scalar_dot () =
+    let b = B.create ~vec_size:1 () in
+    let x i = B.input b ~scale:30 (Printf.sprintf "x%d" i) in
+    let y i = B.input b ~scale:30 (Printf.sprintf "y%d" i) in
+    let prods = List.init 8 (fun i -> B.mul (x i) (y i)) in
+    B.output b "dot" ~scale:30 (List.fold_left B.add (List.hd prods) (List.tl prods));
+    B.program b
+  in
+  let vectorized = Compile.run (scalar_dot ()) in
+  Alcotest.(check bool) "scalar dot vectorized" true (vectorized.Compile.packing <> None);
+  List.iter
+    (fun (what, c) ->
+      if Compile.slot_rotations c = [] then Alcotest.failf "%s: no rotations to batch" what;
+      List.iter
+        (fun max_lanes ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s, max_lanes %d" what max_lanes)
+            (batch_rotations_by_compiling c ~max_lanes)
+            (Compile.batch_rotations c ~max_lanes))
+        [ 1; 2; 8; 32 ])
+    [
+      ("fan", Compile.run (fan ()));
+      ("right rotation", Compile.run (source_deep ()));
+      ("vectorized", vectorized);
+      ("already batched", Compile.run ~batch:2 (source_shallow ()));
+    ]
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "batch"
@@ -359,6 +406,8 @@ let () =
           qt prop_batched_reference_bit_identical;
           Alcotest.test_case "non-lane-local programs refused E207" `Quick
             test_check_batched_negative;
+          Alcotest.test_case "batch_rotations = compiling every width" `Quick
+            test_batch_rotations_match_compiling;
         ] );
       ( "daemon determinism",
         [

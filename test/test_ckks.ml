@@ -280,56 +280,6 @@ let test_decompose_rejects_coeff () =
        false
      with Invalid_argument _ -> true)
 
-let test_complex_encode_decode () =
-  let c = ctx () in
-  let st = rng () in
-  let v =
-    Array.init (Ctx.slots c) (fun _ ->
-        { Complex.re = Random.State.float st 2.0 -. 1.0; im = Random.State.float st 2.0 -. 1.0 })
-  in
-  let p = Ctx.encode_complex c ~level:4 ~scale:(Float.ldexp 1.0 40) v in
-  let back = Ctx.decode_complex c ~scale:(Float.ldexp 1.0 40) p in
-  Array.iteri
-    (fun i z ->
-      Alcotest.(check (float 1e-6)) "re" v.(i).Complex.re z.Complex.re;
-      Alcotest.(check (float 1e-6)) "im" v.(i).Complex.im z.Complex.im)
-    back
-
-let test_conjugate () =
-  let c = ctx () in
-  let st = rng () in
-  let secret, ks = Keys.generate c st ~galois_elts:[ Ctx.galois_elt_conjugate c ] in
-  let v =
-    Array.init (Ctx.slots c) (fun i ->
-        { Complex.re = Float.sin (float_of_int i); im = Float.cos (float_of_int (2 * i)) /. 2.0 })
-  in
-  let ct = Eval.encrypt c ks st (Eval.encode_complex c ~level:4 ~scale:(Float.ldexp 1.0 40) v) in
-  let conj = Eval.conjugate c ks ct in
-  let back = Eval.decrypt_complex c secret conj in
-  Array.iteri
-    (fun i z ->
-      if Float.abs (z.Complex.re -. v.(i).Complex.re) > 1e-3 then Alcotest.failf "re slot %d" i;
-      if Float.abs (z.Complex.im +. v.(i).Complex.im) > 1e-3 then Alcotest.failf "im slot %d" i)
-    back
-
-let test_complex_multiply () =
-  (* Slotwise complex products: (a+bi)(c+di). *)
-  let c = ctx () in
-  let st = rng () in
-  let secret, ks = Keys.generate c st ~galois_elts:[] in
-  let va = Array.init (Ctx.slots c) (fun i -> { Complex.re = 0.3; im = 0.1 *. float_of_int (i mod 3) }) in
-  let vb = Array.init (Ctx.slots c) (fun i -> { Complex.re = 0.2 *. float_of_int (i mod 2); im = -0.4 }) in
-  let scale = Float.ldexp 1.0 40 in
-  let ca = Eval.encrypt c ks st (Eval.encode_complex c ~level:4 ~scale va) in
-  let cb = Eval.encrypt c ks st (Eval.encode_complex c ~level:4 ~scale vb) in
-  let prod = Eval.decrypt_complex c secret (Eval.relinearize c ks (Eval.multiply ca cb)) in
-  Array.iteri
-    (fun i z ->
-      let e = Complex.mul va.(i) vb.(i) in
-      if Complex.norm (Complex.sub z e) > 1e-3 then
-        Alcotest.failf "slot %d: (%f,%f) vs (%f,%f)" i z.Complex.re z.Complex.im e.Complex.re e.Complex.im)
-    prod
-
 let test_element_prime_ranges () =
   let c = ctx () in
   let ranges = Ctx.element_prime_ranges c in
@@ -572,6 +522,35 @@ let test_switch_above_key_depth () =
   let low = Eval.mod_switch c ct in
   Alcotest.(check int) "rotates at its depth" 2 (Eval.rotate c ks low 1).Eval.level
 
+(* Client/server offload in memory: the server is a function of the
+   context, the evaluation keyset and a ciphertext, none of which can
+   hold the secret key; only the client decrypts its answer. *)
+let test_client_server_compute () =
+  let c = ctx () in
+  let st = rng () in
+  let secret, ks = Keys.generate c st ~galois_elts:[ Ctx.galois_elt_rotate c 1 ] in
+  let v = Array.init (Ctx.slots c) (fun i -> Float.cos (float_of_int i) /. 2.0) in
+  let ct = Eval.encrypt c ks st (Eval.encode c ~level:4 ~scale:(Float.ldexp 1.0 40) v) in
+  let server ctx keys x = Eval.relinearize ctx keys (Eval.multiply x (Eval.rotate ctx keys x 1)) in
+  let slots = Ctx.slots c in
+  check_close ~eps:1e-3 "x * rot(x, 1)"
+    (Array.init slots (fun i -> v.(i) *. v.((i + 1) mod slots)))
+    (Eval.decrypt c secret (server c ks ct))
+
+(* The evaluator never creates a key: a server holding only the keyset
+   it was handed cannot rotate by a step the client gave it no key for. *)
+let test_missing_key_raises () =
+  let c = ctx () in
+  let st = rng () in
+  let _secret, ks = Keys.generate c st ~galois_elts:[] in
+  let v = Array.make (Ctx.slots c) 0.5 in
+  let ct = Eval.encrypt c ks st (Eval.encode c ~level:4 ~scale:(Float.ldexp 1.0 40) v) in
+  Alcotest.(check bool) "raises" true
+    (try
+       ignore (Eval.rotate c ks ct 2);
+       false
+     with Eval.Missing_galois_key _ -> true)
+
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "ckks"
@@ -602,12 +581,6 @@ let () =
           Alcotest.test_case "decompose rejects coefficient form" `Quick test_decompose_rejects_coeff;
           Alcotest.test_case "depth-2 chain" `Quick test_depth_chain;
         ] );
-      ( "complex slots",
-        [
-          Alcotest.test_case "encode/decode" `Quick test_complex_encode_decode;
-          Alcotest.test_case "conjugate" `Quick test_conjugate;
-          Alcotest.test_case "complex multiply" `Quick test_complex_multiply;
-        ] );
       ( "context",
         [
           Alcotest.test_case "element prime ranges" `Quick test_element_prime_ranges;
@@ -620,6 +593,11 @@ let () =
           Alcotest.test_case "keygen is a function of the seed" `Quick test_keygen_deterministic;
           Alcotest.test_case "switch above key depth is E607" `Quick test_switch_above_key_depth;
           qt prop_cut_keys_switch_like_full;
+        ] );
+      ( "trust boundary",
+        [
+          Alcotest.test_case "client/server compute" `Quick test_client_server_compute;
+          Alcotest.test_case "missing key raises" `Quick test_missing_key_raises;
         ] );
       ("property", [ qt prop_homomorphic_add ]);
     ]

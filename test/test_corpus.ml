@@ -1,12 +1,12 @@
 (* Golden-code corpus: every file under corpus/ is a malformed .eva
-   program or wire object whose filename carries the structured error
-   code it must produce (e.g. e403-ct-poly-count-huge.wire). The runner
+   program or serving-protocol message whose filename carries the
+   structured error code it must produce (e.g.
+   e403-req-vector-length-huge.wire). The runner
    feeds each to the matching reader and checks that it raises a
    classified error with exactly that code — no bare Failure, no crash,
    no silent acceptance. *)
 
 module Serialize = Eva_core.Serialize
-module Ctx = Eva_ckks.Context
 module Wire = Eva_ckks.Wire
 module Diag = Eva_diag.Diag
 
@@ -18,13 +18,8 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The context the ciphertext/key corpus entries are framed against:
-   the same parameters test_wire uses (6 data primes at level 3). *)
-let wire_ctx =
-  lazy (Ctx.make ~ignore_security:true ~n:512 ~data_bits:[ 60; 40; 40 ] ~special_bits:[ 60 ] ())
-
 let expected_code name =
-  (* "e403-ct-..." -> 403 *)
+  (* "e403-req-..." -> 403 *)
   if String.length name < 5 || name.[0] <> 'e' then
     Alcotest.failf "corpus file %S: name must start with e<code>-" name;
   match int_of_string_opt (String.sub name 1 3) with
@@ -40,11 +35,10 @@ let feed name body =
       go 0
     in
     let pos = ref 0 in
-    if contains "-ctx-" then ignore (Wire.read_context ~ignore_security:true body ~pos)
-    else if contains "-ct-" then ignore (Wire.read_ciphertext (Lazy.force wire_ctx) body ~pos)
-    else if contains "-keys-" then ignore (Wire.read_eval_keys (Lazy.force wire_ctx) body ~pos)
+    if contains "-req-" then ignore (Wire.read_request body ~pos)
+    else if contains "-resp-" then ignore (Wire.read_response body ~pos)
     else if contains "-stats-" then ignore (Wire.read_stats body ~pos)
-    else Alcotest.failf "corpus file %S: unknown wire kind (want -ctx-/-ct-/-keys-/-stats-)" name
+    else Alcotest.failf "corpus file %S: unknown wire kind (want -req-/-resp-/-stats-)" name
   end
   else Alcotest.failf "corpus file %S: unknown extension" name
 
@@ -81,15 +75,43 @@ let test_corpus () =
     files
 
 (* Positions must be present and meaningful on wire errors: the huge
-   degree sits on line 1 of the context header. *)
+   vector length sits on line 2 of the request. *)
 let test_wire_error_position () =
-  match Wire.read_context ~ignore_security:true "context\n1048576\n3 60 40 40\n60\n" ~pos:(ref 0) with
-  | _ -> Alcotest.fail "accepted a 2^20 degree"
+  match Wire.read_request "request 7 -1 1\nx 2097152 0x1p+0\n" ~pos:(ref 0) with
+  | _ -> Alcotest.fail "accepted a 2^21-slot vector"
   | exception Diag.Error d -> (
       Alcotest.(check int) "code" Diag.wire_length d.Diag.code;
       match d.Diag.pos with
       | Some (line, _) -> Alcotest.(check int) "line of the offending token" 2 line
       | None -> Alcotest.fail "no position on a wire error")
+
+(* A client's bytes cut short fail in the Wire layer wherever the cut
+   falls: inside a request payload, or inside the body of the frame the
+   daemon reads it from (EVA-E401). *)
+let test_truncated_input () =
+  let payload =
+    Wire.to_string
+      (fun buf () -> Wire.write_request buf ~id:7 [ ("x", Array.init 16 (fun i -> Float.sin (float_of_int i))) ])
+      ()
+  in
+  let wire_layer what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: truncated input accepted" what
+    | exception Diag.Error d -> Alcotest.(check bool) (what ^ ": Wire layer") true (d.Diag.layer = Diag.Wire)
+  in
+  wire_layer "request" (fun () ->
+      Wire.read_request (String.sub payload 0 (String.length payload / 2)) ~pos:(ref 0));
+  let path = Filename.temp_file "corpus_frame" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "frame %d\n%s" (String.length payload)
+            (String.sub payload 0 (String.length payload - 1)));
+      In_channel.with_open_bin path (fun ic ->
+          match Wire.read_frame ic with
+          | _ -> Alcotest.fail "frame: truncated body accepted"
+          | exception Diag.Error d -> Alcotest.(check int) "frame: E401" Diag.wire_truncated d.Diag.code))
 
 (* Exit codes are part of the CLI contract: one per layer, disjoint from
    cmdliner's own 123-125 range. *)
@@ -108,4 +130,5 @@ let () =
           Alcotest.test_case "wire errors carry positions" `Quick test_wire_error_position;
           Alcotest.test_case "exit codes distinct" `Quick test_exit_codes_distinct;
         ] );
+      ("trust boundary", [ Alcotest.test_case "truncated input" `Quick test_truncated_input ]);
     ]
